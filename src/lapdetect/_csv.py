@@ -1,0 +1,55 @@
+"""The one CSV sink behind every artifact writer.
+
+Cells are rendered by type: floats (and ints) at 17 significant digits,
+which round-trip every double, booleans as ``true``/``false``, and None as
+an empty cell. Targets are a path, opened and closed here, or an open text
+stream, which is left open.
+"""
+
+from __future__ import annotations
+
+import csv
+import io
+from itertools import repeat
+from pathlib import Path
+from typing import Iterable, Sequence
+
+import numpy as np
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    return format(value, ".17g")
+
+
+def _column(values: tuple) -> list[str]:
+    # Formatting a whole all-float column with builtin map keeps the
+    # per-cell work out of Python frames; ROC curves are 4,000 cells each.
+    if set(map(type, values)) == {float}:
+        return list(map(format, values, repeat(".17g")))
+    return list(map(_cell, values))
+
+
+def write_csv(
+    out: str | Path | io.TextIOBase,
+    header: Sequence[str],
+    rows: Iterable[Sequence],
+    append: bool = False,
+) -> None:
+    """Write ``header`` and then ``rows`` to ``out``.
+
+    A path is truncated, or with ``append`` extended. An appending write
+    emits the header only when the target is empty (a missing file is
+    empty), so repeated runs accumulate under one header.
+    """
+    if isinstance(out, (str, Path)):
+        with open(out, "a" if append else "w", newline="") as f:
+            write_csv(f, header, rows, append)
+        return
+    w = csv.writer(out, lineterminator="\n")
+    if not append or out.tell() == 0:
+        w.writerow(header)
+    w.writerows(zip(*map(_column, zip(*rows))))

@@ -118,6 +118,10 @@ def _mech_args(p: argparse.ArgumentParser, theta_default: float = 1.0) -> None:
     )
 
 
+def _tail_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--tail", choices=[t.value for t in TailDirection], default="right")
+
+
 def _cfg(args: argparse.Namespace) -> MechanismConfig:
     return MechanismConfig(s=args.s, eps=args.eps, theta=args.theta, mu0=args.mu0)
 
@@ -265,9 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("threshold", help="critical-region threshold(s) of size alpha")
     p.add_argument("--alpha", type=float, required=True, help="test size in (0, 1)")
-    p.add_argument(
-        "--tail", choices=["right", "left", "two-sided"], default="right"
-    )
+    _tail_arg(p)
     p.add_argument(
         "--dmu",
         type=float,
@@ -280,17 +282,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("power", help="detection probability of the size-alpha test")
     p.add_argument("--alpha", type=float, required=True)
     p.add_argument("--dmu", type=float, required=True, help="attack bias")
-    p.add_argument(
-        "--tail", choices=["right", "left", "two-sided"], default="right"
-    )
+    _tail_arg(p)
     _mech_args(p)
     p.set_defaults(handler=_cmd_power)
 
     p = sub.add_parser("roc", help="write an ROC curve CSV (alpha,k1,k2,power)")
     p.add_argument("--dmu", type=float, required=True, help="attack bias")
-    p.add_argument(
-        "--tail", choices=["right", "left", "two-sided"], default="right"
-    )
+    _tail_arg(p)
     p.add_argument("--grid", type=int, default=999, help="number of alpha samples")
     p.add_argument("--out", default=None, help="output CSV path")
     _mech_args(p, theta_default=1.5)
@@ -328,9 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="Monte Carlo validation (JSON SimReport)")
     p.add_argument("--alpha", type=float, default=0.05)
     p.add_argument("--dmu", type=float, default=None, help="attack bias")
-    p.add_argument(
-        "--tail", choices=["right", "left", "two-sided"], default="right"
-    )
+    _tail_arg(p)
     p.add_argument("--samples", type=int, default=100_000, help="trials per hypothesis")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1, help="thread fan-out for trials")

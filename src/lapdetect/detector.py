@@ -16,16 +16,16 @@ closed form; the test suite re-derives each one by adaptive quadrature.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
-from .laplace import LaplaceDist
+from . import _csv
 from .mechanism import AttackSpec, MechanismConfig, hypothesis_pair
 
 __all__ = [
@@ -195,7 +195,6 @@ class DetectionTest:
         if self.direction.one_sided:
             if self.k is None or self.k1 is not None or self.k2 is not None:
                 raise ValueError("one-sided test takes k and no (k1, k2)")
-            size = one_sided_size(self.k, self.cfg, self.direction)
         else:
             if self.k1 is None or self.k2 is None or self.k is not None:
                 raise ValueError("two-sided test takes (k1, k2) and no k")
@@ -207,7 +206,7 @@ class DetectionTest:
                     f"two-sided thresholds must be symmetric about mu0="
                     f"{self.cfg.mu0}, got midpoint {mid}"
                 )
-            size = two_sided_size(self.k1, self.k2, self.cfg)
+        size = self.size()
         if abs(size - self.alpha) > _SIZE_ATOL:
             raise ValueError(
                 f"threshold(s) give size {size}, which is not alpha={self.alpha}"
@@ -224,7 +223,14 @@ class DetectionTest:
         k1, k2 = two_sided_thresholds(alpha, cfg)
         return cls(direction=direction, alpha=alpha, cfg=cfg, k1=k1, k2=k2)
 
+    def size(self) -> float:
+        """False-alarm probability: null mass of the critical region."""
+        if self.direction.one_sided:
+            return one_sided_size(self.k, self.cfg, self.direction)
+        return two_sided_size(self.k1, self.k2, self.cfg)
+
     def power(self, attack: AttackSpec) -> float:
+        """Detection probability: alternative mass of the critical region."""
         if self.direction.one_sided:
             return one_sided_power(self.k, self.cfg, attack, self.direction)
         return two_sided_power(self.k1, self.k2, self.cfg, attack)
@@ -363,22 +369,5 @@ def write_roc_csv(curve: RocCurve, out: str | Path | io.TextIOBase) -> None:
 
     One-sided curves leave the k2 column empty.
     """
-    close = False
-    if isinstance(out, (str, Path)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["alpha", "k1", "k2", "power"])
-        for p in curve.points:
-            w.writerow(
-                [
-                    format(p.alpha, ".17g"),
-                    format(p.k1, ".17g"),
-                    "" if p.k2 is None else format(p.k2, ".17g"),
-                    format(p.power, ".17g"),
-                ]
-            )
-    finally:
-        if close:
-            out.close()
+    header = ["alpha", "k1", "k2", "power"]
+    _csv.write_csv(out, header, map(attrgetter(*header), curve.points))

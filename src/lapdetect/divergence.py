@@ -18,13 +18,14 @@ neighboring inputs by e^eps; :func:`kl_dp_check` reports both sides.
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
+from . import _csv
 from .laplace import LaplaceDist
 from .quadrature import adaptive_simpson
 
@@ -182,24 +183,5 @@ def kl_sweep(
 
 def write_kl_sweep_csv(rows: Sequence[dict], out: str | Path | io.TextIOBase) -> None:
     """Emit ``epsilon,theta,dmu_over_s,kl,bound,violated`` rows (17 sig digits)."""
-    close = False
-    if isinstance(out, (str, Path)):
-        out = open(out, "w", newline="")
-        close = True
-    try:
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"])
-        for r in rows:
-            w.writerow(
-                [
-                    format(r["epsilon"], ".17g"),
-                    format(r["theta"], ".17g"),
-                    format(r["dmu_over_s"], ".17g"),
-                    format(r["kl"], ".17g"),
-                    format(r["bound"], ".17g"),
-                    "true" if r["violated"] else "false",
-                ]
-            )
-    finally:
-        if close:
-            out.close()
+    header = ["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"]
+    _csv.write_csv(out, header, map(itemgetter(*header), rows))

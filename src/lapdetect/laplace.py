@@ -52,7 +52,8 @@ class RngStream:
 class LaplaceDist:
     """Laplace (double exponential) distribution with location mu, scale b.
 
-    Density (1/2b) exp(-|z - mu| / b); variance 2 b^2.
+    Density (1/2b) exp(-|z - mu| / b); variance 2 b^2. mu must be finite
+    and b must lie in (0, inf).
     """
 
     mu: float
@@ -62,8 +63,10 @@ class LaplaceDist:
         # Plain floats keep the scalar fast paths free of numpy promotion.
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "b", float(self.b))
-        if not self.b > 0.0:
-            raise ValueError(f"scale must be positive, got b={self.b}")
+        if not math.isfinite(self.mu):
+            raise ValueError(f"location must be finite, got mu={self.mu}")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"scale must be positive and finite, got b={self.b}")
 
     def pdf(self, z: float | np.ndarray) -> float | np.ndarray:
         """Density at ``z``; strictly positive and symmetric about mu."""

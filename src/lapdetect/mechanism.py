@@ -46,6 +46,8 @@ class MechanismConfig:
         theta: Scale inflation under attack, >= 1; theta = 1 means the
             attack shifts only the location.
         mu0: Null noise location (0 in the usual calibrated mechanism).
+
+    All four must be finite.
     """
 
     s: float
@@ -55,7 +57,10 @@ class MechanismConfig:
 
     def __post_init__(self):
         for name in ("s", "eps", "theta", "mu0"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+            value = float(getattr(self, name))
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {name}={value}")
+            object.__setattr__(self, name, value)
         if not self.s > 0.0:
             raise ValueError(f"sensitivity must be positive, got s={self.s}")
         if not self.eps > 0.0:
@@ -81,14 +86,17 @@ class MechanismConfig:
 class AttackSpec:
     """A single injected record of value x_a, shifting the release by x_a.
 
-    x_a may be negative; x_a = 0 is the degenerate no-attack case in which
-    the alternative hypothesis collapses onto the null (up to theta).
+    x_a may be negative but must be finite; x_a = 0 is the degenerate
+    no-attack case in which the alternative hypothesis collapses onto the
+    null (up to theta).
     """
 
     x_a: float
 
     def __post_init__(self):
         object.__setattr__(self, "x_a", float(self.x_a))
+        if not math.isfinite(self.x_a):
+            raise ValueError(f"attack bias must be finite, got x_a={self.x_a}")
 
     @property
     def direction(self) -> int:

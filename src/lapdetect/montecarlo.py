@@ -1,11 +1,13 @@
 """End-to-end attack simulation and empirical validation of the closed forms.
 
 Trials are vectorized in fixed-size chunks, each drawn from its own random
-stream keyed by (seed, role, chunk index). Chunk boundaries depend only on
-the trial count, never on the worker count, and per-chunk detection counts
-are integers, so aggregated reports are bit-identical no matter how the
-chunks are scheduled. Threads are sufficient for parallelism here because
-the bulk sampling work happens inside numpy.
+stream keyed by (seed, role, chunk index), where the role is H0 (0) or H1
+(1). One scheduler runs the chunks of both roles, in one list or on one
+thread pool. Chunk boundaries depend only on the trial count, never on the
+worker count, and per-chunk detection counts are integers, so aggregated
+reports are bit-identical no matter how the chunks are scheduled. Threads
+are sufficient for parallelism here because the bulk sampling work happens
+inside numpy.
 """
 
 from __future__ import annotations
@@ -13,23 +15,16 @@ from __future__ import annotations
 import io
 import json
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
-from .detector import (
-    DetectionTest,
-    TailDirection,
-    _detected,
-    one_sided_power,
-    one_sided_size,
-    two_sided_power,
-    two_sided_size,
-)
+from . import _csv
+from .detector import DetectionTest, TailDirection, _detected
 from .laplace import LaplaceDist, RngStream
 from .mechanism import (
     AttackSpec,
@@ -125,52 +120,38 @@ def _half_width(p_hat: float, n: int) -> float:
     return 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-def _chunks(n: int) -> list[tuple[int, int]]:
-    """(chunk index, chunk length) pairs covering n trials."""
-    return [(c, min(_CHUNK, n - c * _CHUNK)) for c in range((n + _CHUNK - 1) // _CHUNK)]
+def _simulate(
+    sim: SimConfig, test: DetectionTest, draw, workers: int, keep: bool = False
+) -> tuple[SimReport, list, list]:
+    """Run every chunk of both roles and score the detections.
 
+    ``draw(role, stream, m)`` returns a tuple of m-vectors whose last entry
+    is the residuals. Returns the report and, per role, each chunk's
+    ``(*drawn, detected)`` in chunk order when ``keep`` is set (else None).
+    """
+    n = sim.n_trials
 
-def _run_chunks(fn, chunk_list, workers: int) -> list:
+    def run(task: tuple[int, int]) -> tuple[int, tuple | None]:
+        role, c = task
+        m = min(_CHUNK, n - c * _CHUNK)
+        drawn = draw(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), m)
+        det = _detected(drawn[-1], test)
+        return int(np.count_nonzero(det)), (*drawn, det) if keep else None
+
+    tasks = [(role, c) for role in (0, 1) for c in range((n + _CHUNK - 1) // _CHUNK)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, chunk_list))
-    return [fn(c) for c in chunk_list]
-
-
-def _count_detected(
-    dist: LaplaceDist,
-    test: DetectionTest,
-    n: int,
-    seed: int,
-    role: int,
-    workers: int,
-) -> int:
-    def one(chunk: tuple[int, int]) -> int:
-        c, m = chunk
-        z = dist.sample(RngStream(seed, (role << _ROLE_SHIFT) | c), m)
-        return int(np.count_nonzero(_detected(z, test)))
-
-    return sum(_run_chunks(one, _chunks(n), workers))
-
-
-def _report(
-    test: DetectionTest,
-    attack: AttackSpec,
-    detected_h0: int,
-    detected_h1: int,
-    n: int,
-) -> SimReport:
-    alpha_hat = detected_h0 / n
-    power_hat = detected_h1 / n
-    if test.direction.one_sided:
-        alpha_closed = one_sided_size(test.k, test.cfg, test.direction)
-        power_closed = one_sided_power(test.k, test.cfg, attack, test.direction)
+            out = list(pool.map(run, tasks))
     else:
-        alpha_closed = two_sided_size(test.k1, test.k2, test.cfg)
-        power_closed = two_sided_power(test.k1, test.k2, test.cfg, attack)
+        out = [run(t) for t in tasks]
+    h0, h1 = out[: len(out) // 2], out[len(out) // 2 :]
+    alpha_hat = sum(d for d, _ in h0) / n
+    power_hat = sum(d for d, _ in h1) / n
+    alpha_closed = test.size()
+    power_closed = test.power(sim.attack)
     hw_alpha = _half_width(alpha_hat, n)
     hw_power = _half_width(power_hat, n)
-    return SimReport(
+    report = SimReport(
         alpha_hat=alpha_hat,
         power_hat=power_hat,
         alpha_closed=alpha_closed,
@@ -182,6 +163,7 @@ def _report(
             and abs(power_hat - power_closed) <= hw_power
         ),
     )
+    return report, [p for _, p in h0], [p for _, p in h1]
 
 
 def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
@@ -192,10 +174,11 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     calibrated test. Deterministic per seed regardless of ``workers``.
     """
     test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
-    h0, h1 = hypothesis_pair(sim.cfg, sim.attack)
-    detected_h0 = _count_detected(h0, test, sim.n_trials, sim.seed, 0, workers)
-    detected_h1 = _count_detected(h1, test, sim.n_trials, sim.seed, 1, workers)
-    return _report(test, sim.attack, detected_h0, detected_h1, sim.n_trials)
+    dists = hypothesis_pair(sim.cfg, sim.attack)
+    report, _, _ = _simulate(
+        sim, test, lambda role, stream, m: (dists[role].sample(stream, m),), workers
+    )
+    return report
 
 
 def run_attack_experiment(
@@ -224,41 +207,28 @@ def run_attack_experiment(
         )
     q = sum_query(data)
     test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
-    noise0 = LaplaceDist(cfg.mu0, cfg.b0)
-    noise1 = LaplaceDist(cfg.mu0, cfg.b1)
+    noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
 
-    def one(role: int, chunk: tuple[int, int]) -> tuple[int, tuple | None]:
-        c, m = chunk
-        z = (noise0 if role == 0 else noise1).sample(
-            RngStream(sim.seed, (role << _ROLE_SHIFT) | c), m
-        )
-        releases = q + z
+    def draw(role: int, stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
+        releases = q + noise[role].sample(stream, m)
         if role == 1:
             releases = inject_attack(releases, sim.attack)
-        residuals = releases - q
-        det = _detected(residuals, test)
-        count = int(np.count_nonzero(det))
-        return (count, (releases, residuals, det) if trace else None)
+        return releases, releases - q
 
-    chunk_list = _chunks(sim.n_trials)
-    out0 = _run_chunks(lambda ch: one(0, ch), chunk_list, workers)
-    out1 = _run_chunks(lambda ch: one(1, ch), chunk_list, workers)
-    report = _report(
-        test, sim.attack, sum(c for c, _ in out0), sum(c for c, _ in out1), sim.n_trials
-    )
+    report, h0, h1 = _simulate(sim, test, draw, workers, keep=trace)
     if not trace:
         return report
 
     def cat(parts, i):
-        return np.concatenate([p[i] for _, p in parts])
+        return np.concatenate([p[i] for p in parts])
 
     return report, AttackTrace(
-        h0_releases=cat(out0, 0),
-        h0_residuals=cat(out0, 1),
-        h0_detected=cat(out0, 2),
-        h1_releases=cat(out1, 0),
-        h1_residuals=cat(out1, 1),
-        h1_detected=cat(out1, 2),
+        h0_releases=cat(h0, 0),
+        h0_residuals=cat(h0, 1),
+        h0_detected=cat(h0, 2),
+        h1_releases=cat(h1, 0),
+        h1_residuals=cat(h1, 1),
+        h1_detected=cat(h1, 2),
     )
 
 
@@ -327,32 +297,5 @@ def write_grid_csv(rows: Sequence[dict], out: str | Path | io.TextIOBase) -> Non
     The header is written only when the target is new or empty, so repeated
     runs accumulate into one file.
     """
-    close = False
-    if isinstance(out, (str, Path)):
-        fresh = not os.path.exists(out) or os.path.getsize(out) == 0
-        out = open(out, "a", newline="")
-        close = True
-    else:
-        fresh = out.tell() == 0
-    try:
-        if fresh:
-            out.write(GRID_CSV_HEADER + "\n")
-        for r in rows:
-            out.write(
-                ",".join(
-                    [
-                        format(r["eps"], ".17g"),
-                        format(r["theta"], ".17g"),
-                        format(r["dmu"], ".17g"),
-                        format(r["alpha"], ".17g"),
-                        format(r["alpha_hat"], ".17g"),
-                        format(r["power"], ".17g"),
-                        format(r["power_hat"], ".17g"),
-                        "true" if r["pass"] else "false",
-                    ]
-                )
-                + "\n"
-            )
-    finally:
-        if close:
-            out.close()
+    header = GRID_CSV_HEADER.split(",")
+    _csv.write_csv(out, header, map(itemgetter(*header), rows), append=True)

@@ -1,0 +1,111 @@
+"""CSV artifacts: the full text of every writer against a csv.writer rendering.
+
+Each expected text is built here from the same rows with the standard
+``csv`` module, floats at 17 significant digits, so a change to quoting,
+number formatting, line endings, the empty k2 cell or the append rule
+shows up as a difference in the text.
+"""
+
+import csv
+import io
+
+import pytest
+
+from lapdetect import (
+    AttackSpec,
+    MechanismConfig,
+    TailDirection,
+    kl_sweep,
+    roc_curve,
+    run_grid,
+    write_grid_csv,
+    write_kl_sweep_csv,
+    write_roc_csv,
+)
+
+
+def _g(x: float) -> str:
+    return format(x, ".17g")
+
+
+def _flag(b: bool) -> str:
+    return "true" if b else "false"
+
+
+def _render(header: list[str], rows: list[list[str]]) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("direction", list(TailDirection))
+def test_roc_csv_text(tmp_path, direction):
+    cfg = MechanismConfig(s=1.3, eps=0.7, theta=1.5, mu0=-1.7)
+    curve = roc_curve(cfg, AttackSpec(0.9), direction, grid=49)
+    path = tmp_path / "roc.csv"
+    write_roc_csv(curve, path)
+    expected = _render(
+        ["alpha", "k1", "k2", "power"],
+        [
+            [_g(p.alpha), _g(p.k1), "" if p.k2 is None else _g(p.k2), _g(p.power)]
+            for p in curve.points
+        ],
+    )
+    assert path.read_text() == expected
+    # One-sided curves leave k2 empty; two-sided ones fill it.
+    k2_cells = {line.split(",")[2] == "" for line in expected.splitlines()[1:]}
+    assert k2_cells == {direction.one_sided}
+
+
+def test_kl_sweep_csv_text(tmp_path):
+    rows = kl_sweep(
+        eps_grid=[0.1, 0.5, 1.0, 2.0], thetas=[1.0, 1.5], dmu_over_s=[0.5, 4.0],
+        s=1.3, mu0=-0.4,
+    )
+    assert {r["violated"] for r in rows} == {True, False}
+    path = tmp_path / "kl.csv"
+    write_kl_sweep_csv(rows, path)
+    expected = _render(
+        ["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"],
+        [
+            [_g(r["epsilon"]), _g(r["theta"]), _g(r["dmu_over_s"]), _g(r["kl"]),
+             _g(r["bound"]), _flag(r["violated"])]
+            for r in rows
+        ],
+    )
+    assert path.read_text() == expected
+
+
+class TestGridCsv:
+    HEADER = ["eps", "theta", "dmu", "alpha", "alpha_hat", "power", "power_hat", "pass"]
+
+    @pytest.fixture(scope="class")
+    def rows(self):
+        grid = [(1.0, 1.0, 1.0, 0.1), (0.5, 1.5, 4.0, 0.7), (2.0, 1.0, 0.5, 0.3)]
+        return run_grid(grid=grid, s=0.8, n_trials=2_000, seed=17)
+
+    def _body(self, rows) -> str:
+        return _render(
+            self.HEADER,
+            [[*(_g(r[k]) for k in self.HEADER[:-1]), _flag(r["pass"])] for r in rows],
+        ).split("\n", 1)[1]
+
+    def test_two_appends_to_a_path_write_one_header(self, tmp_path, rows):
+        path = tmp_path / "grid.csv"
+        write_grid_csv(rows, path)
+        write_grid_csv(rows, path)
+        body = self._body(rows)
+        assert path.read_text() == ",".join(self.HEADER) + "\n" + body + body
+
+    def test_stream_with_text_gets_no_header(self, rows):
+        buf = io.StringIO()
+        buf.write("earlier\n")
+        write_grid_csv(rows, buf)
+        assert buf.getvalue() == "earlier\n" + self._body(rows)
+
+    def test_empty_stream_gets_the_header(self, rows):
+        buf = io.StringIO()
+        write_grid_csv(rows, buf)
+        assert buf.getvalue() == ",".join(self.HEADER) + "\n" + self._body(rows)

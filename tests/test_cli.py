@@ -111,6 +111,24 @@ class TestExitCodes:
         assert err.startswith("error: ")
         assert err.count("\n") == 1  # single-line diagnostic
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["power", "--alpha", "0.1", "--dmu", "nan"],
+            ["power", "--alpha", "0.1", "--dmu", "1", "--mu0", "nan"],
+            ["power", "--alpha", "0.1", "--dmu", "1", "--s", "inf"],
+            ["threshold", "--alpha", "0.1", "--mu0", "inf"],
+            ["simulate", "--alpha", "0.1", "--dmu", "nan", "--samples", "100"],
+            ["kl", "--dmu", "inf"],
+        ],
+    )
+    def test_non_finite_inputs_exit_three(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+
 
 class TestArtifacts:
     def test_roc_csv(self, capsys, tmp_path):

@@ -205,10 +205,15 @@ class TestMeanAbsDev:
 
 
 class TestConstruction:
-    @pytest.mark.parametrize("b", [0.0, -1.0])
+    @pytest.mark.parametrize("b", [0.0, -1.0, math.inf, math.nan])
     def test_scale_must_be_positive(self, b):
         with pytest.raises(ValueError, match="scale"):
             LaplaceDist(0.0, b)
+
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_location_must_be_finite(self, mu):
+        with pytest.raises(ValueError, match="location"):
+            LaplaceDist(mu, 1.0)
 
     def test_rng_stream_uniforms_open_interval(self):
         u = RngStream(3, 1).uniforms(10**5)

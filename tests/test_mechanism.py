@@ -37,11 +37,22 @@ class TestMechanismConfig:
             {"s": 1.0, "eps": 0.0},
             {"s": 1.0, "eps": -0.5},
             {"s": 1.0, "eps": 1.0, "theta": 0.99},
+            {"s": math.inf, "eps": 1.0},
+            {"s": 1.0, "eps": math.nan},
+            {"s": 1.0, "eps": math.inf},
+            {"s": 1.0, "eps": 1.0, "theta": math.inf},
+            {"s": 1.0, "eps": 1.0, "mu0": math.nan},
+            {"s": 1.0, "eps": 1.0, "mu0": -math.inf},
         ],
     )
     def test_invalid_parameters_rejected(self, kwargs):
         with pytest.raises(ValueError):
             MechanismConfig(**kwargs)
+
+    @pytest.mark.parametrize("x_a", [math.nan, math.inf, -math.inf])
+    def test_attack_bias_must_be_finite(self, x_a):
+        with pytest.raises(ValueError, match="finite"):
+            AttackSpec(x_a)
 
     def test_null_dist(self):
         cfg = MechanismConfig(s=2.0, eps=4.0, mu0=-1.0)

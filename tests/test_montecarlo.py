@@ -9,11 +9,15 @@ import pytest
 from lapdetect import (
     AttackSpec,
     Dataset,
+    DetectionTest,
+    LaplaceDist,
     MechanismConfig,
+    RngStream,
     SimConfig,
     TailDirection,
     default_grid,
     estimate_error_rates,
+    hypothesis_pair,
     run_attack_experiment,
     run_grid,
     write_grid_csv,
@@ -146,6 +150,72 @@ class TestRunAttackExperiment:
         assert trace.h1_residuals.mean() == pytest.approx(
             sim.attack.x_a, abs=5.0 * sim.cfg.b1 / math.sqrt(n)
         )
+
+
+class TestStreamKeying:
+    """Every draw comes from RngStream(seed, role << 48 | chunk) in chunks of
+    2^16 trials, H0 as role 0 and H1 as role 1, at any worker count."""
+
+    N = 2 * 2**16 + 5
+    CHUNKS = ((0, 2**16), (1, 2**16), (2, 5))
+    CFG = MechanismConfig(s=1.2, eps=0.8, theta=1.5, mu0=0.3)
+    ATTACK = AttackSpec(0.9)
+
+    def _sim(self, direction):
+        return _sim(
+            cfg=self.CFG, attack=self.ATTACK, alpha=0.2, direction=direction,
+            n_trials=self.N, seed=4242,
+        )
+
+    def _draws(self, dist: LaplaceDist, role: int, seed: int) -> np.ndarray:
+        return np.concatenate(
+            [dist.sample(RngStream(seed, role << 48 | c), m) for c, m in self.CHUNKS]
+        )
+
+    @staticmethod
+    def _region(z: np.ndarray, test: DetectionTest) -> np.ndarray:
+        if test.direction is RIGHT:
+            return z > test.k
+        if test.direction is TailDirection.LEFT:
+            return z < test.k
+        return (z > test.k1) | (z < test.k2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("direction", list(TailDirection))
+    def test_estimate_counts(self, workers, direction):
+        sim = self._sim(direction)
+        report = estimate_error_rates(sim, workers=workers)
+        test = DetectionTest.from_alpha(sim.alpha, sim.cfg, direction)
+        h0, h1 = hypothesis_pair(sim.cfg, sim.attack)
+        n0 = int(np.count_nonzero(self._region(self._draws(h0, 0, sim.seed), test)))
+        n1 = int(np.count_nonzero(self._region(self._draws(h1, 1, sim.seed), test)))
+        assert (report.alpha_hat, report.power_hat) == (n0 / self.N, n1 / self.N)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("direction", list(TailDirection))
+    def test_attack_trace(self, workers, direction):
+        data = Dataset(records=(0.5, 1.125, 0.25), bound=1.2)  # exact sum
+        sim = self._sim(direction)
+        _, trace = run_attack_experiment(data, sim, workers=workers, trace=True)
+        test = DetectionTest.from_alpha(sim.alpha, sim.cfg, direction)
+        q = sum(data.records)
+        cfg = sim.cfg
+        h0_releases = q + self._draws(LaplaceDist(cfg.mu0, cfg.b0), 0, sim.seed)
+        h1_releases = (
+            q + self._draws(LaplaceDist(cfg.mu0, cfg.b1), 1, sim.seed)
+        ) + sim.attack.x_a
+        expected = {
+            "h0_releases": h0_releases,
+            "h0_residuals": h0_releases - q,
+            "h0_detected": self._region(h0_releases - q, test),
+            "h1_releases": h1_releases,
+            "h1_residuals": h1_releases - q,
+            "h1_detected": self._region(h1_releases - q, test),
+        }
+        for name, want in expected.items():
+            got = getattr(trace, name)
+            assert got.dtype == want.dtype, name
+            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestGrid:
