@@ -141,6 +141,21 @@ class TestKlQuadrature:
         with pytest.raises(ValueError):
             kl_quadrature(d, d, tol=-1e-9)
 
+    @pytest.mark.parametrize(
+        "p1, tol",
+        [
+            (LaplaceDist(-15.564, 0.6417), 4e-9),
+            (LaplaceDist(1000.0, 1.0), 1e-10),
+            (LaplaceDist(2000.0, 1.0), 1e-10),
+        ],
+        ids=["sep-16", "sep-1000", "sep-2000"],
+    )
+    def test_far_apart_locations_meet_tol(self, p1, tol):
+        # The stretch between the locations is cut like the tails, so a
+        # long panel there cannot pass on a vanishing error estimate.
+        p0 = LaplaceDist(0.0, 1.0)
+        assert abs(kl_quadrature(p0, p1, tol) - kl_laplace(p0, p1)) <= tol
+
 
 class TestKlDpCheck:
     def test_identical_not_violated(self):

@@ -1,10 +1,11 @@
-"""Tests for the adaptive Simpson engine against analytic integrals."""
+"""Tests for the adaptive Simpson and G10-K21 engines against analytic integrals."""
 
 import math
 
 import pytest
 
-from lapdetect.quadrature import QuadratureError, adaptive_simpson
+from lapdetect import quadrature
+from lapdetect.quadrature import QuadratureError, _gauss_kronrod, adaptive_simpson
 
 
 def test_cubic_is_exact():
@@ -67,3 +68,37 @@ def test_laplace_density_normalizes():
         breakpoints=[1.3 + k * b for k in (-30, -20, -12, -6, -3, -1, 0, 1, 3, 6, 12, 20, 30)],
     )
     assert val == pytest.approx(1.0, abs=1e-9)
+
+
+def test_gauss_kronrod_exact_to_degree_31():
+    # K21 integrates polynomials up to degree 31 exactly on every panel.
+    val = _gauss_kronrod(lambda x: 32.0 * x**31 - 3.0 * x**2, 0.0, 1.0, tol=1e-12)
+    assert val == pytest.approx(0.0, abs=1e-14)
+
+
+_LADDER = [1.3 + k * 0.7 for k in (-30, -20, -12, -6, -3, -1, 0, 1, 3, 6, 12, 20, 30)]
+
+
+@pytest.mark.parametrize(
+    "f, a, b, breaks",
+    [
+        (math.exp, 0.0, 1.0, []),
+        (abs, -1.0, 2.0, [0.0]),
+        (math.cos, 0.0, 1.0, [-5.0, 7.0]),
+        (lambda z: math.exp(-abs(z - 1.3) / 0.7) / 1.4, 1.3 - 31.5, 1.3 + 31.5, _LADDER),
+    ],
+    ids=["exp", "kink", "outside-breaks", "laplace-density"],
+)
+def test_gauss_kronrod_agrees_with_simpson(f, a, b, breaks):
+    gk = _gauss_kronrod(f, a, b, tol=1e-12, breakpoints=breaks)
+    assert gk == pytest.approx(adaptive_simpson(f, a, b, tol=1e-12, breakpoints=breaks), abs=1e-11)
+
+
+def test_gauss_kronrod_budget_exhaustion_reports_achieved_bound(monkeypatch):
+    monkeypatch.setattr(quadrature, "_K21_MAX_PANELS", 64)
+    f = lambda x: math.sin(1000.0 * x) ** 2  # noqa: E731
+    with pytest.raises(QuadratureError) as info:
+        _gauss_kronrod(f, 0.0, 10.0, tol=1e-14)
+    err = info.value
+    assert err.achieved > 1e-14
+    assert math.isfinite(err.value)
