@@ -42,14 +42,15 @@ def write_csv(
     """Write ``header`` and then ``rows`` to ``out``.
 
     A path is truncated, or with ``append`` extended. An appending write
-    emits the header only when the target is empty (a missing file is
-    empty), so repeated runs accumulate under one header.
+    emits the header only when the target is empty (a missing file, or a
+    stream that cannot seek such as a pipe, counts as empty), so repeated
+    runs accumulate under one header.
     """
     if isinstance(out, (str, Path)):
         with open(out, "a" if append else "w", newline="") as f:
             write_csv(f, header, rows, append)
         return
     w = csv.writer(out, lineterminator="\n")
-    if not append or out.tell() == 0:
+    if not append or not out.seekable() or out.tell() == 0:
         w.writerow(header)
     w.writerows(zip(*map(_column, zip(*rows))))

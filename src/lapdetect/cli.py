@@ -132,18 +132,15 @@ def _tail(args: argparse.Namespace) -> TailDirection:
 
 def _cmd_threshold(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
-    direction = _tail(args)
-    if direction.one_sided:
-        k = detector.one_sided_threshold(args.alpha, cfg, direction)
-        print(_fmt(k))
-        if args.dmu is not None and args.dmu != 0.0:
-            attack = AttackSpec(x_a=args.dmu)
-            test = DetectionTest(direction=direction, alpha=args.alpha, cfg=cfg, k=k)
-            print(f"kappa = {_fmt(detector.kappa(test, attack))}")
-            print(f"lr_at_k = {_fmt(detector.likelihood_ratio(k, cfg, attack))}")
-    else:
-        k1, k2 = detector.two_sided_thresholds(args.alpha, cfg)
-        print(f"({_fmt(k1)}, {_fmt(k2)})")
+    test = DetectionTest.from_alpha(args.alpha, cfg, _tail(args))
+    if not test.direction.one_sided:
+        print(f"({_fmt(test.k1)}, {_fmt(test.k2)})")
+        return 0
+    print(_fmt(test.k))
+    if args.dmu is not None and args.dmu != 0.0:
+        attack = AttackSpec(x_a=args.dmu)
+        print(f"kappa = {_fmt(detector.kappa(test, attack))}")
+        print(f"lr_at_k = {_fmt(detector.likelihood_ratio(test.k, cfg, attack))}")
     return 0
 
 
@@ -206,6 +203,8 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> int:
     if args.eps_list is not None:
         eps_grid = _float_list(args.eps_list)
     else:
+        if not np.isfinite([args.eps_start, args.eps_stop]).all():
+            raise ValueError("--eps-start and --eps-stop must be finite")
         eps_grid = np.linspace(args.eps_start, args.eps_stop, args.eps_count).tolist()
     rows = divergence.kl_sweep(
         eps_grid=eps_grid,

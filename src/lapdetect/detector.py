@@ -12,6 +12,10 @@ Covers the full testing machinery for the residual z = release - q(x):
 Sizes are tail masses of the null residual distribution and powers are
 tail masses of the alternative, so every quantity here is an exact
 closed form; the test suite re-derives each one by adaptive quadrature.
+
+A critical region is held once, as its offset from mu0 in the units of z;
+calibration, sizes and powers work in the frame centred on mu0, where H0 =
+Lap(0, b0) and H1 = Lap(x_a, b1), so a large mu0 costs them no precision.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _csv
+from .laplace import LaplaceDist
 from .mechanism import AttackSpec, MechanismConfig, hypothesis_pair
 
 __all__ = [
@@ -70,6 +75,40 @@ class Decision(Enum):
     NOT_DETECTED = "not-detected"
 
 
+def _calibrate(alpha: float, b0: float, direction: TailDirection) -> float:
+    """Offset from mu0 of the size-alpha critical region, in units of z.
+
+    One-sided: the signed threshold offset, a quantile of H0 = Lap(0, b0).
+    Two-sided: the half-width -b0 ln(alpha) >= 0, alpha/2 beyond each end.
+    """
+    if not direction.one_sided:
+        if not 0.0 < alpha <= 1.0:
+            raise ValueError(
+                f"size must lie in (0, 1] (log alpha diverges at 0), got alpha={alpha}"
+            )
+        return -(b0 * math.log(alpha))
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"size must lie strictly in (0, 1), got alpha={alpha}")
+    # The alpha quantile of Lap(0, 1): exact log arguments on both branches,
+    # which meet at 0 bitwise at alpha = 0.5.
+    q = math.log(2.0 * alpha) if alpha < 0.5 else -math.log(2.0 * (1.0 - alpha))
+    return b0 * q if direction is TailDirection.LEFT else -b0 * q
+
+
+def _region(direction: TailDirection, offset: float) -> tuple[float, float]:
+    """Critical region as offsets (lo, hi) from mu0: reject z < lo or z > hi."""
+    if direction is TailDirection.LEFT:
+        return offset, math.inf
+    return (-math.inf if direction.one_sided else -offset), offset
+
+
+def _mass(dist: LaplaceDist, lo: float, hi: float) -> float:
+    """Mass of ``dist``, centred on mu0, below lo plus above hi (inf adds 0)."""
+    if lo > hi:
+        raise ValueError(f"need k2 <= k1, got k2 - mu0 = {lo} > k1 - mu0 = {hi}")
+    return dist.cdf(lo) + dist.survival(hi)
+
+
 def one_sided_threshold(
     alpha: float, cfg: MechanismConfig, direction: TailDirection
 ) -> float:
@@ -81,40 +120,25 @@ def one_sided_threshold(
     (mu0 - (s/eps) ln(2 alpha) for alpha <= 0.5 on the right tail,
     mu0 + (s/eps) ln(2(1-alpha)) above) meet.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"size must lie strictly in (0, 1), got alpha={alpha}")
-    d0 = cfg.null_dist()
-    if direction is TailDirection.RIGHT:
-        # Mirror of the quantile's two branches: exact log arguments on
-        # both sides, and both branches meet at k = mu0 bitwise.
-        if alpha < 0.5:
-            return d0.mu - d0.b * math.log(2.0 * alpha)
-        return d0.mu + d0.b * math.log(2.0 * (1.0 - alpha))
-    if direction is TailDirection.LEFT:
-        return d0.quantile(alpha)
-    raise ValueError("one-sided threshold requires a right or left tail")
+    if not direction.one_sided:
+        raise ValueError("one-sided threshold requires a right or left tail")
+    return cfg.mu0 + _calibrate(alpha, cfg.b0, direction)
 
 
 def one_sided_size(k: float, cfg: MechanismConfig, direction: TailDirection) -> float:
     """False-alarm probability of the threshold test: null mass beyond k."""
-    d0 = cfg.null_dist()
-    if direction is TailDirection.RIGHT:
-        return d0.survival(k)
-    if direction is TailDirection.LEFT:
-        return d0.cdf(k)
-    raise ValueError("one-sided size requires a right or left tail")
+    if not direction.one_sided:
+        raise ValueError("one-sided size requires a right or left tail")
+    return _mass(LaplaceDist(0.0, cfg.b0), *_region(direction, k - cfg.mu0))
 
 
 def one_sided_power(
     k: float, cfg: MechanismConfig, attack: AttackSpec, direction: TailDirection
 ) -> float:
     """Detection probability: alternative mass beyond k; always in [0, 1]."""
-    _, h1 = hypothesis_pair(cfg, attack)
-    if direction is TailDirection.RIGHT:
-        return h1.survival(k)
-    if direction is TailDirection.LEFT:
-        return h1.cdf(k)
-    raise ValueError("one-sided power requires a right or left tail")
+    if not direction.one_sided:
+        raise ValueError("one-sided power requires a right or left tail")
+    return _mass(LaplaceDist(attack.x_a, cfg.b1), *_region(direction, k - cfg.mu0))
 
 
 def likelihood_ratio(
@@ -143,20 +167,13 @@ def two_sided_thresholds(alpha: float, cfg: MechanismConfig) -> tuple[float, flo
     k1 = mu0 - (s/eps) ln(alpha) >= mu0 >= k2 = mu0 + (s/eps) ln(alpha);
     alpha = 1 collapses both onto mu0 (the test always rejects).
     """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(
-            f"size must lie in (0, 1] (log alpha diverges at 0), got alpha={alpha}"
-        )
-    t = cfg.b0 * math.log(alpha)
-    return cfg.mu0 - t, cfg.mu0 + t
+    half = _calibrate(alpha, cfg.b0, TailDirection.TWO_SIDED)
+    return cfg.mu0 + half, cfg.mu0 - half
 
 
 def two_sided_size(k1: float, k2: float, cfg: MechanismConfig) -> float:
     """False-alarm probability of the two-sided test: null mass outside (k2, k1)."""
-    if k2 > k1:
-        raise ValueError(f"thresholds must satisfy k2 <= k1, got ({k1}, {k2})")
-    d0 = cfg.null_dist()
-    return d0.cdf(k2) + d0.survival(k1)
+    return _mass(LaplaceDist(0.0, cfg.b0), k2 - cfg.mu0, k1 - cfg.mu0)
 
 
 def two_sided_power(
@@ -168,44 +185,29 @@ def two_sided_power(
     whenever k2 <= mu1 <= k1, and remains a valid probability when mu1
     falls outside the acceptance interval.
     """
-    if k2 > k1:
-        raise ValueError(f"thresholds must satisfy k2 <= k1, got ({k1}, {k2})")
-    _, h1 = hypothesis_pair(cfg, attack)
-    return h1.cdf(k2) + h1.survival(k1)
+    return _mass(LaplaceDist(attack.x_a, cfg.b1), k2 - cfg.mu0, k1 - cfg.mu0)
 
 
 @dataclass(frozen=True)
 class DetectionTest:
-    """A calibrated test: tail direction, threshold(s), and size alpha.
+    """A calibrated test: tail direction, size alpha and critical region.
 
-    One-sided tests carry ``k``; two-sided tests carry ``k1 >= k2``
-    symmetric about mu0. Construction re-derives the size from the
-    thresholds and rejects if it disagrees with ``alpha`` by more than
-    1e-12, so a DetectionTest is internally consistent by invariant.
+    ``offset`` is the region's distance from mu0 in units of z: reject beyond
+    k = mu0 + offset (one-sided) or outside mu0 -+ offset (two-sided, offset
+    >= 0). Construction re-derives the size and rejects if it disagrees with
+    ``alpha`` by more than 1e-12, so a DetectionTest is consistent by invariant.
     """
 
     direction: TailDirection
     alpha: float
     cfg: MechanismConfig
-    k: float | None = None
-    k1: float | None = None
-    k2: float | None = None
+    offset: float
 
     def __post_init__(self):
-        if self.direction.one_sided:
-            if self.k is None or self.k1 is not None or self.k2 is not None:
-                raise ValueError("one-sided test takes k and no (k1, k2)")
-        else:
-            if self.k1 is None or self.k2 is None or self.k is not None:
-                raise ValueError("two-sided test takes (k1, k2) and no k")
-            if self.k2 > self.k1:
-                raise ValueError(f"need k2 <= k1, got ({self.k1}, {self.k2})")
-            mid = 0.5 * (self.k1 + self.k2)
-            if abs(mid - self.cfg.mu0) > _SIZE_ATOL * max(1.0, abs(self.cfg.mu0)):
-                raise ValueError(
-                    f"two-sided thresholds must be symmetric about mu0="
-                    f"{self.cfg.mu0}, got midpoint {mid}"
-                )
+        if not math.isfinite(self.offset):
+            raise ValueError(f"threshold offset must be finite, got {self.offset}")
+        if self.offset < 0.0 and not self.direction.one_sided:
+            raise ValueError(f"two-sided half-width must be >= 0, got {self.offset}")
         size = self.size()
         if abs(size - self.alpha) > _SIZE_ATOL:
             raise ValueError(
@@ -216,41 +218,46 @@ class DetectionTest:
     def from_alpha(
         cls, alpha: float, cfg: MechanismConfig, direction: TailDirection
     ) -> "DetectionTest":
-        """Calibrate the threshold(s) for a requested size."""
-        if direction.one_sided:
-            k = one_sided_threshold(alpha, cfg, direction)
-            return cls(direction=direction, alpha=alpha, cfg=cfg, k=k)
-        k1, k2 = two_sided_thresholds(alpha, cfg)
-        return cls(direction=direction, alpha=alpha, cfg=cfg, k1=k1, k2=k2)
+        """Calibrate the critical region for a requested size."""
+        return cls(direction, alpha, cfg, _calibrate(alpha, cfg.b0, direction))
+
+    @property
+    def k1(self) -> float:
+        """Threshold mu0 + offset: the one-sided k, or the upper two-sided one."""
+        return self.cfg.mu0 + self.offset
+
+    k = k1  # the one-sided name, as RocPoint stores it in k1
+
+    @property
+    def k2(self) -> float | None:
+        """Lower two-sided threshold mu0 - offset; None for a one-sided test."""
+        return None if self.direction.one_sided else self.cfg.mu0 - self.offset
 
     def size(self) -> float:
         """False-alarm probability: null mass of the critical region."""
-        if self.direction.one_sided:
-            return one_sided_size(self.k, self.cfg, self.direction)
-        return two_sided_size(self.k1, self.k2, self.cfg)
+        h0 = LaplaceDist(0.0, self.cfg.b0)
+        return _mass(h0, *_region(self.direction, self.offset))
 
     def power(self, attack: AttackSpec) -> float:
         """Detection probability: alternative mass of the critical region."""
-        if self.direction.one_sided:
-            return one_sided_power(self.k, self.cfg, attack, self.direction)
-        return two_sided_power(self.k1, self.k2, self.cfg, attack)
+        h1 = LaplaceDist(attack.x_a, self.cfg.b1)
+        return _mass(h1, *_region(self.direction, self.offset))
 
 
 def kappa(test: DetectionTest, attack: AttackSpec) -> float:
     """Likelihood-ratio cutoff of the one-sided test's critical region.
 
-    (1/theta) exp{ +-(eps/(theta s)) (k(1+theta) - theta mu0 - mu1) } with
-    the sign set by the bias direction; coincides with likelihood_ratio
-    evaluated at z = k whenever k lies between mu0 and mu1.
+    (1/theta) exp{ +-(eps/(theta s)) (d(1+theta) - x_a) } with the offset
+    d = k - mu0 and the sign set by the bias direction; coincides with
+    likelihood_ratio evaluated at z = k whenever k lies between mu0 and mu1.
     """
     if not test.direction.one_sided:
         raise ValueError("the likelihood-ratio cutoff is defined for one-sided tests")
     if attack.direction == 0:
         raise ValueError("cutoff undefined for zero bias (hypotheses coincide)")
     cfg = test.cfg
-    mu1 = cfg.mu0 + attack.x_a
     expo = (cfg.eps / (cfg.theta * cfg.s)) * (
-        test.k * (1.0 + cfg.theta) - cfg.theta * cfg.mu0 - mu1
+        test.offset * (1.0 + cfg.theta) - attack.x_a
     )
     return math.exp(expo if attack.direction > 0 else -expo) / cfg.theta
 
@@ -264,11 +271,8 @@ def decide(residual_z: float, test: DetectionTest) -> Decision:
 
 def _detected(z: float | np.ndarray, test: DetectionTest) -> bool | np.ndarray:
     """Vectorized strict-inequality critical-region membership."""
-    if test.direction is TailDirection.RIGHT:
-        return z > test.k
-    if test.direction is TailDirection.LEFT:
-        return z < test.k
-    return (z > test.k1) | (z < test.k2)
+    lo, hi = _region(test.direction, test.offset)
+    return (z > test.cfg.mu0 + hi) | (z < test.cfg.mu0 + lo)
 
 
 @dataclass(frozen=True)
@@ -321,13 +325,8 @@ def roc_curve(
         raise ValueError(f"ROC grid needs at least 2 points, got {grid}")
     points = []
     for i in range(1, grid + 1):
-        alpha = i / (grid + 1)
-        test = DetectionTest.from_alpha(alpha, cfg, direction)
-        power = test.power(attack)
-        if direction.one_sided:
-            points.append(RocPoint(alpha=alpha, k1=test.k, k2=None, power=power))
-        else:
-            points.append(RocPoint(alpha=alpha, k1=test.k1, k2=test.k2, power=power))
+        test = DetectionTest.from_alpha(i / (grid + 1), cfg, direction)
+        points.append(RocPoint(test.alpha, test.k1, test.k2, test.power(attack)))
     xs = [0.0, *(p.alpha for p in points), 1.0]
     ys = [0.0, *(p.power for p in points), 1.0]
     auc = math.fsum(
@@ -349,8 +348,8 @@ def bias_interval(
 ) -> BiasInterval:
     """Interval for the bias implied by a two-sided test of size alpha, power beta_bar.
 
-    lo = (s/eps) ln(alpha * beta_bar^theta) and hi = -lo; degenerates to
-    (0, 0) at alpha = beta_bar = 1.
+    lo = (s/eps)(ln alpha + theta ln beta_bar), finite where beta_bar^theta
+    underflows, and hi = -lo; degenerates to (0, 0) at alpha = beta_bar = 1.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(
@@ -360,7 +359,7 @@ def bias_interval(
         raise ValueError(
             f"power must lie in (0, 1]: log diverges at beta_bar={beta_bar}"
         )
-    lo = cfg.b0 * math.log(alpha * beta_bar**cfg.theta)
+    lo = cfg.b0 * (math.log(alpha) + cfg.theta * math.log(beta_bar))
     return BiasInterval(lo=lo, hi=0.0 - lo)
 
 

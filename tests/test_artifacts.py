@@ -8,6 +8,7 @@ shows up as a difference in the text.
 
 import csv
 import io
+import os
 
 import pytest
 
@@ -109,3 +110,13 @@ class TestGridCsv:
         buf = io.StringIO()
         write_grid_csv(rows, buf)
         assert buf.getvalue() == ",".join(self.HEADER) + "\n" + self._body(rows)
+
+    def test_unseekable_stream_gets_the_header(self, rows):
+        # A pipe has no position to test, so it counts as a new target.
+        read_fd, write_fd = os.pipe()
+        with open(write_fd, "w", newline="") as writer:
+            assert not writer.seekable()
+            write_grid_csv(rows, writer)
+        with open(read_fd) as reader:
+            text = reader.read()
+        assert text == ",".join(self.HEADER) + "\n" + self._body(rows)

@@ -2,6 +2,7 @@
 
 import inspect
 import json
+import warnings
 
 import pytest
 
@@ -120,10 +121,16 @@ class TestExitCodes:
             ["threshold", "--alpha", "0.1", "--mu0", "inf"],
             ["simulate", "--alpha", "0.1", "--dmu", "nan", "--samples", "100"],
             ["kl", "--dmu", "inf"],
+            ["kl-sweep", "--eps-stop", "inf"],
+            ["kl-sweep", "--eps-start", "nan"],
+            ["kl-sweep", "--eps-start=-inf", "--eps-stop", "inf"],
         ],
     )
     def test_non_finite_inputs_exit_three(self, capsys, argv):
-        code, out, err = run(capsys, *argv)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv)
+        assert caught == []
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err

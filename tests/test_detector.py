@@ -196,7 +196,7 @@ class TestKappa:
     def test_midpoint_cutoff_is_one(self):
         k = 0.5  # midpoint of mu0 = 0, mu1 = 1 at theta = 1
         t = DetectionTest(
-            direction=RIGHT, alpha=one_sided_size(k, UNIT, RIGHT), cfg=UNIT, k=k
+            direction=RIGHT, alpha=one_sided_size(k, UNIT, RIGHT), cfg=UNIT, offset=k
         )
         assert kappa(t, AttackSpec(1.0)) == pytest.approx(1.0, rel=1e-15)
 
@@ -227,7 +227,9 @@ class TestKappa:
             k = one_sided_threshold(alpha, cfg, RIGHT)
             if not cfg.mu0 <= k <= cfg.mu0 + x_a:
                 continue
-            t = DetectionTest(direction=RIGHT, alpha=one_sided_size(k, cfg, RIGHT), cfg=cfg, k=k)
+            t = DetectionTest(
+                direction=RIGHT, alpha=one_sided_size(k, cfg, RIGHT), cfg=cfg, offset=k - cfg.mu0
+            )
             attack = AttackSpec(x_a)
             assert kappa(t, attack) == pytest.approx(
                 likelihood_ratio(k, cfg, attack), abs=1e-12, rel=1e-12
@@ -329,32 +331,37 @@ class TestDetectionTest:
 
     def test_inconsistent_alpha_rejected(self):
         with pytest.raises(ValueError, match="size"):
-            DetectionTest(direction=RIGHT, alpha=0.2, cfg=UNIT, k=1.0)
+            DetectionTest(direction=RIGHT, alpha=0.2, cfg=UNIT, offset=1.0)
 
     def test_two_sided_requires_symmetry(self):
-        with pytest.raises(ValueError, match="symmetric"):
-            DetectionTest(direction=TWO, alpha=0.05, cfg=UNIT, k1=3.0, k2=-2.0)
+        # One half-width is symmetric about mu0 by construction; it must
+        # not be negative.
+        with pytest.raises(ValueError, match="half-width"):
+            DetectionTest(direction=TWO, alpha=1.0, cfg=UNIT, offset=-0.5)
 
     def test_threshold_field_shape_enforced(self):
-        with pytest.raises(ValueError):
-            DetectionTest(direction=RIGHT, alpha=0.5, cfg=UNIT, k1=0.0, k2=0.0)
-        with pytest.raises(ValueError):
-            DetectionTest(direction=TWO, alpha=0.5, cfg=UNIT, k=0.0)
+        for old in ({"k": 0.0}, {"k1": 0.0, "k2": 0.0}):
+            with pytest.raises(TypeError):
+                DetectionTest(direction=RIGHT, alpha=0.5, cfg=UNIT, **old)
+        for direction in (RIGHT, LEFT, TWO):
+            for bad in (math.nan, math.inf, -math.inf):
+                with pytest.raises(ValueError, match="finite"):
+                    DetectionTest(direction=direction, alpha=0.5, cfg=UNIT, offset=bad)
 
 
 class TestDecide:
     def test_right_tail(self):
-        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, k=1.0)
+        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, offset=1.0)
         assert decide(2.0, t) is Decision.DETECTED
         assert decide(0.5, t) is Decision.NOT_DETECTED
 
     def test_boundary_not_detected(self):
         # The release must strictly exceed the threshold.
-        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, k=1.0)
+        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, offset=1.0)
         assert decide(1.0, t) is Decision.NOT_DETECTED
 
     def test_left_tail(self):
-        t = DetectionTest(direction=LEFT, alpha=one_sided_size(-1.0, UNIT, LEFT), cfg=UNIT, k=-1.0)
+        t = DetectionTest(direction=LEFT, alpha=one_sided_size(-1.0, UNIT, LEFT), cfg=UNIT, offset=-1.0)
         assert decide(-2.0, t) is Decision.DETECTED
         assert decide(0.0, t) is Decision.NOT_DETECTED
 
@@ -430,6 +437,13 @@ class TestBiasInterval:
         cfg = MechanismConfig(s=1.0, eps=1.0, theta=2.0)
         iv = bias_interval(0.05, 0.8, cfg)
         assert iv.lo == pytest.approx(math.log(0.05 * 0.64), rel=1e-14)
+
+    def test_no_underflow_at_large_theta(self):
+        # beta_bar^theta underflows to 0 at theta = 1e4; its log does not.
+        cfg = MechanismConfig(s=1.0, eps=1.0, theta=1e4)
+        iv = bias_interval(0.5, 0.5, cfg)
+        assert iv.lo == pytest.approx(-10001.0 * math.log(2.0), rel=1e-14)
+        assert iv.hi == -iv.lo
 
     def test_width_formula(self):
         cfg = MechanismConfig(s=2.0, eps=0.5)
