@@ -5,107 +5,26 @@ privacy release: Neyman-Pearson thresholds and likelihood-ratio cutoffs,
 exact error/power curves and ROC sweeps, detectable-bias intervals, KL
 divergence accounting against the e^eps admissibility bound, and Monte
 Carlo validation of every closed form.
+
+The public surface is each module's ``__all__``, re-exported here.
 """
 
-from .detector import (
-    BiasInterval,
-    Decision,
-    DetectionTest,
-    RocCurve,
-    RocPoint,
-    TailDirection,
-    bias_interval,
-    decide,
-    kappa,
-    likelihood_ratio,
-    one_sided_power,
-    one_sided_size,
-    one_sided_threshold,
-    roc_curve,
-    two_sided_power,
-    two_sided_size,
-    two_sided_thresholds,
-    write_roc_csv,
-)
-from .divergence import (
-    KlReport,
-    kl_dp_check,
-    kl_laplace,
-    kl_laplace_variant,
-    kl_quadrature,
-    kl_sweep,
-    write_kl_sweep_csv,
-)
-from .laplace import LaplaceDist, RngStream
-from .mechanism import (
-    AttackSpec,
-    Dataset,
-    MechanismConfig,
-    hypothesis_pair,
-    inject_attack,
-    load_dataset,
-    noisy_release,
-    sum_query,
-)
-from .montecarlo import (
-    AttackTrace,
-    SimConfig,
-    SimReport,
-    default_grid,
-    estimate_error_rates,
-    run_attack_experiment,
-    run_grid,
-    write_grid_csv,
-)
-from .quadrature import QuadratureError, adaptive_simpson
+from . import detector, divergence, laplace, mechanism, montecarlo, quadrature
+from .detector import *  # noqa: F403
+from .divergence import *  # noqa: F403
+from .laplace import *  # noqa: F403
+from .mechanism import *  # noqa: F403
+from .montecarlo import *  # noqa: F403
+from .quadrature import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AttackSpec",
-    "AttackTrace",
-    "BiasInterval",
-    "Dataset",
-    "Decision",
-    "DetectionTest",
-    "KlReport",
-    "LaplaceDist",
-    "MechanismConfig",
-    "QuadratureError",
-    "RngStream",
-    "RocCurve",
-    "RocPoint",
-    "SimConfig",
-    "SimReport",
-    "TailDirection",
-    "adaptive_simpson",
-    "bias_interval",
-    "decide",
-    "default_grid",
-    "estimate_error_rates",
-    "hypothesis_pair",
-    "inject_attack",
-    "kappa",
-    "kl_dp_check",
-    "kl_laplace",
-    "kl_laplace_variant",
-    "kl_quadrature",
-    "kl_sweep",
-    "likelihood_ratio",
-    "load_dataset",
-    "noisy_release",
-    "one_sided_power",
-    "one_sided_size",
-    "one_sided_threshold",
-    "roc_curve",
-    "run_attack_experiment",
-    "run_grid",
-    "sum_query",
-    "two_sided_power",
-    "two_sided_size",
-    "two_sided_thresholds",
-    "write_grid_csv",
-    "write_kl_sweep_csv",
-    "write_roc_csv",
+    *detector.__all__,
+    *divergence.__all__,
+    *laplace.__all__,
+    *mechanism.__all__,
+    *montecarlo.__all__,
+    *quadrature.__all__,
     "__version__",
 ]

@@ -21,6 +21,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -140,7 +141,10 @@ def _cmd_threshold(args: argparse.Namespace) -> int:
     if args.dmu is not None and args.dmu != 0.0:
         attack = AttackSpec(x_a=args.dmu)
         print(f"kappa = {_fmt(detector.kappa(test, attack))}")
-        print(f"lr_at_k = {_fmt(detector.likelihood_ratio(test.k, cfg, attack))}")
+        # The ratio does not depend on mu0: evaluate it at the offset in the
+        # frame centred on mu0, where the region is not lost to rounding.
+        lr = detector.likelihood_ratio(test.offset, replace(cfg, mu0=0.0), attack)
+        print(f"lr_at_k = {_fmt(lr)}")
     return 0
 
 
@@ -168,8 +172,7 @@ def _cmd_interval(args: argparse.Namespace) -> int:
 
 def _cmd_kl(args: argparse.Namespace) -> int:
     cfg = _cfg(args)
-    p0 = cfg.null_dist()
-    p1 = type(p0)(cfg.mu0 + args.dmu, cfg.b1)
+    p0, p1 = mechanism.hypothesis_pair(cfg, AttackSpec(x_a=args.dmu))
     report = divergence.kl_dp_check(p0, p1, cfg.eps)
     form = "canonical"
     d_selected = report.d_closed

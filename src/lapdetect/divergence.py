@@ -125,9 +125,7 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     )
 
 
-def kl_dp_check(
-    p0: LaplaceDist, p1: LaplaceDist, epsilon: float, tol: float = 1e-10
-) -> KlReport:
+def kl_dp_check(p0: LaplaceDist, p1: LaplaceDist, epsilon: float) -> KlReport:
     """Check D(p0 || p1) <= e^eps and report both sides plus the oracle value."""
     if not epsilon > 0.0:
         raise ValueError(f"privacy parameter must be positive, got {epsilon}")
@@ -135,7 +133,7 @@ def kl_dp_check(
     bound = math.exp(epsilon)
     return KlReport(
         d_closed=d,
-        d_quadrature=kl_quadrature(p0, p1, tol),
+        d_quadrature=kl_quadrature(p0, p1),
         epsilon=epsilon,
         bound=bound,
         violated=d > bound,

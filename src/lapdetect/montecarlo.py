@@ -16,7 +16,7 @@ import io
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
@@ -90,15 +90,10 @@ class SimReport:
     passed: bool
 
     def to_dict(self) -> dict:
-        return {
-            "alpha_hat": self.alpha_hat,
-            "power_hat": self.power_hat,
-            "alpha_closed": self.alpha_closed,
-            "power_closed": self.power_closed,
-            "half_width_alpha": self.half_width_alpha,
-            "half_width_power": self.half_width_power,
-            "pass": self.passed,
-        }
+        # Keys follow field order; ``passed``, the last field, is written "pass".
+        d = asdict(self)
+        d["pass"] = d.pop("passed")
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -232,20 +227,15 @@ def run_attack_experiment(
     )
 
 
-def default_grid(
-    eps_values: Sequence[float] = (0.015, 0.5, 1.0, 2.0),
-    theta_values: Sequence[float] = (1.0, 1.5),
-    dmu_over_s: Sequence[float] = (0.5, 1.0, 4.0),
-    alphas: Sequence[float] = tuple(a / 10.0 for a in range(1, 10)),
-) -> list[tuple[float, float, float, float]]:
+def default_grid() -> list[tuple[float, float, float, float]]:
     """Validation grid spanning weak-to-strong privacy and sub- to
     super-sensitivity biases: (eps, theta, dmu/s, alpha) cells."""
     return [
         (eps, theta, ratio, alpha)
-        for eps in eps_values
-        for theta in theta_values
-        for ratio in dmu_over_s
-        for alpha in alphas
+        for eps in (0.015, 0.5, 1.0, 2.0)
+        for theta in (1.0, 1.5)
+        for ratio in (0.5, 1.0, 4.0)
+        for alpha in (a / 10.0 for a in range(1, 10))
     ]
 
 

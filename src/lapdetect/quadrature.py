@@ -41,6 +41,12 @@ _K21_PAIRS = (
 )
 _K21_MAX_PANELS = 1 << 16
 
+# Simpson's forced subdivision levels before the error estimate is trusted,
+# which guards against deceptive acceptance on panels much longer than the
+# integrand's decay length, and its subdivision budget.
+_SIMPSON_MIN_DEPTH = 2
+_SIMPSON_MAX_PANELS = 1 << 22
+
 
 class QuadratureError(ArithmeticError):
     """Raised when the subdivision budget is exhausted before reaching tol.
@@ -64,8 +70,6 @@ def adaptive_simpson(
     tol: float = 1e-10,
     *,
     breakpoints: Iterable[float] = (),
-    min_depth: int = 2,
-    max_panels: int = 1 << 22,
 ) -> float:
     """Integrate ``f`` over ``[a, b]`` to absolute tolerance ``tol``.
 
@@ -82,10 +86,6 @@ def adaptive_simpson(
         tol: Absolute error target for the whole interval.
         breakpoints: Interior split points; values outside (a, b) are
             ignored, so callers may pass candidate kinks unconditionally.
-        min_depth: Forced subdivision levels before the error estimate is
-            trusted. Guards against deceptive acceptance on panels much
-            longer than the integrand's decay length.
-        max_panels: Subdivision budget; exceeding it raises QuadratureError.
 
     Returns:
         The integral estimate, with absolute error bounded by ``tol``
@@ -112,7 +112,7 @@ def adaptive_simpson(
         mid = 0.5 * (lo + hi)
         flo, fmid, fhi = f(lo), f(mid), f(hi)
         whole = (hi - lo) * _SIXTH * (flo + 4.0 * fmid + fhi)
-        stack = [(lo, flo, mid, fmid, hi, fhi, whole, piece_tol, min_depth)]
+        stack = [(lo, flo, mid, fmid, hi, fhi, whole, piece_tol, _SIMPSON_MIN_DEPTH)]
         while stack:
             x0, f0, xm, fm, x1, f1, s, t, d = stack.pop()
             panels += 1
@@ -123,7 +123,7 @@ def adaptive_simpson(
             left = (xm - x0) * _SIXTH * (f0 + 4.0 * flm + fm)
             right = (x1 - xm) * _SIXTH * (fm + 4.0 * frm + f1)
             err = (left + right - s) * _FIFTEENTH
-            if (d <= 0 and abs(err) <= t) or panels > max_panels:
+            if (d <= 0 and abs(err) <= t) or panels > _SIMPSON_MAX_PANELS:
                 total += left + right + err
                 err_bound += abs(err)
             else:
@@ -131,7 +131,7 @@ def adaptive_simpson(
                 stack.append((x0, f0, lm, flm, xm, fm, left, half, d - 1))
                 stack.append((xm, fm, rm, frm, x1, f1, right, half, d - 1))
 
-    if panels > max_panels:
+    if panels > _SIMPSON_MAX_PANELS:
         raise _exhausted(panels, tol, total, err_bound)
     return total
 
@@ -149,9 +149,10 @@ def _gauss_kronrod(
     Same pieces and tolerance shares: each piece gets tol / pieces, each
     half of a split panel half of its panel's share. Each piece starts as
     two panels, so no error estimate is trusted over a whole piece; Simpson's
-    ``min_depth`` guards the same way. A panel is accepted once |K21 - G10|,
-    which bounds the K21 error on a smooth panel, is within its share; the
-    result sums the accepted K21 values. Each panel costs 21 evaluations.
+    ``_SIMPSON_MIN_DEPTH`` guards the same way. A panel is accepted once
+    |K21 - G10|, which bounds the K21 error on a smooth panel, is within its
+    share; the result sums the accepted K21 values. Each panel costs 21
+    evaluations.
 
     Raises:
         QuadratureError: After more than ``_K21_MAX_PANELS`` panels.

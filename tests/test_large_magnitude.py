@@ -88,3 +88,15 @@ def test_interval_where_power_to_theta_underflows(capsys):
         capsys, "interval", "--alpha", "0.5", "--beta-bar", "0.5", "--theta", "1e4"
     )
     assert (code, out, err) == (0, "(-6932.165, 6932.165)\n", "")
+
+
+def test_lr_at_k_matches_kappa_far_from_origin(capsys):
+    # Doubles near 1e8 are 1.5e-8 apart, so the absolute threshold k holds
+    # its offset of 5e-7 from mu0 only to about 1 %; lr_at_k must use the
+    # offset, as kappa does, to agree with it.
+    code, out, err = _run(
+        capsys, "threshold", "--alpha", "0.3", "--s", "1e-6", "--mu0", "1e8",
+        "--dmu", "1e-6",
+    )
+    assert (code, err) == (0, "")
+    assert out.splitlines() == ["1e+08", "kappa = 1.021887", "lr_at_k = 1.021887"]

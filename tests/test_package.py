@@ -1,0 +1,29 @@
+"""The package's public surface is exactly its modules' ``__all__`` lists."""
+
+import pytest
+
+import lapdetect
+from lapdetect import detector, divergence, laplace, mechanism, montecarlo, quadrature
+
+MODULES = [detector, divergence, laplace, mechanism, montecarlo, quadrature]
+
+
+def test_package_all_is_the_module_lists_plus_version():
+    names = [name for mod in MODULES for name in mod.__all__] + ["__version__"]
+    assert len(set(names)) == len(names)
+    assert len(set(lapdetect.__all__)) == len(lapdetect.__all__)
+    assert set(lapdetect.__all__) == set(names)
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_each_name_is_the_module_object(mod):
+    for name in mod.__all__:
+        assert getattr(lapdetect, name) is getattr(mod, name), name
+
+
+@pytest.mark.parametrize("mod", MODULES, ids=lambda m: m.__name__)
+def test_module_all_names_no_private_object(mod):
+    for name in mod.__all__:
+        assert not name.startswith("_"), name
+        obj = getattr(mod, name)
+        assert not getattr(obj, "__name__", name).startswith("_"), name
