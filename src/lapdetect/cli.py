@@ -69,6 +69,7 @@ SUBCOMMAND_OPS = {
             "divergence.kl_dp_check",
             "laplace.LaplaceDist.mean_abs_dev",
             "laplace.LaplaceDist.pdf",
+            # Not kl's engine: the independent oracle behind its closed form.
             "quadrature.adaptive_simpson",
         }
     ),

@@ -259,7 +259,10 @@ def kappa(test: DetectionTest, attack: AttackSpec) -> float:
     expo = (cfg.eps / (cfg.theta * cfg.s)) * (
         test.offset * (1.0 + cfg.theta) - attack.x_a
     )
-    return math.exp(expo if attack.direction > 0 else -expo) / cfg.theta
+    try:
+        return math.exp(expo if attack.direction > 0 else -expo) / cfg.theta
+    except OverflowError:
+        return math.inf
 
 
 def decide(residual_z: float, test: DetectionTest) -> Decision:

@@ -111,15 +111,28 @@ class LaplaceDist:
             return self.mu + self.b * math.log(2.0 * p)
         return self.mu - self.b * math.log(2.0 * (1.0 - p))
 
-    def _quantile_array(self, p: np.ndarray) -> np.ndarray:
-        # log1p argument is exact here: the sampling lattice k/2^53 makes
-        # p - 0.5 and its doubling representable without rounding.
-        q = p - 0.5
-        return self.mu - self.b * np.sign(q) * np.log1p(-2.0 * np.abs(q))
-
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
-        """``n`` i.i.d. draws by inverse transform; deterministic per stream."""
-        return self._quantile_array(rng.uniforms(n))
+        """``n`` i.i.d. draws by inverse transform; deterministic per stream.
+
+        The Monte Carlo harness runs the same kernel on per-thread buffers.
+        """
+        if n < 0:
+            raise ValueError(f"sample count must be nonnegative, got {n}")
+        return self._sample_into(rng, np.empty(n))
+
+    def _sample_into(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
+        """Fill float64 ``out`` with mu - b sign(q) log1p(-2|q|), q = u - 0.5.
+
+        One in-place pass per operation of that expression, in its order, so
+        the draws match it bit for bit. log1p's argument is exact on the
+        lattice k/2^53; b sign(q) reuses the lattice's int64 array.
+        """
+        k = rng.generator().integers(1, _U_DENOM, size=out.size)
+        q = np.subtract(np.multiply(k, _U_SCALE, out=out), 0.5, out=out)
+        sb = np.sign(q, out=k.view(np.float64))
+        np.multiply(sb, self.b, out=sb)
+        np.log1p(np.multiply(np.abs(q, out=q), -2.0, out=q), out=q)
+        return np.subtract(self.mu, np.multiply(sb, q, out=q), out=q)
 
     def mean_abs_dev(self, c: float) -> float:
         """E|Z - c| = |c - mu| + b e^(-|c - mu|/b); equals b exactly at c = mu.

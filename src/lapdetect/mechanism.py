@@ -47,7 +47,7 @@ class MechanismConfig:
             attack shifts only the location.
         mu0: Null noise location (0 in the usual calibrated mechanism).
 
-    All four must be finite.
+    All four must be finite, and so must b1 >= b0 > 0.
     """
 
     s: float
@@ -67,6 +67,11 @@ class MechanismConfig:
             raise ValueError(f"privacy parameter must be positive, got eps={self.eps}")
         if not self.theta >= 1.0:
             raise ValueError(f"scale inflation must be >= 1, got theta={self.theta}")
+        if not (self.b0 > 0.0 and math.isfinite(self.b1)):
+            raise ValueError(
+                f"noise scale s/eps must be positive and finite, got s={self.s}, "
+                f"eps={self.eps}, theta={self.theta}"
+            )
 
     @property
     def b0(self) -> float:

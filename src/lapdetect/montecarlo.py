@@ -7,7 +7,8 @@ thread pool. Chunk boundaries depend only on the trial count, never on the
 worker count, and per-chunk detection counts are integers, so aggregated
 reports are bit-identical no matter how the chunks are scheduled. Threads
 are sufficient for parallelism here because the bulk sampling work happens
-inside numpy.
+inside numpy. Each thread samples into one reused chunk buffer and counts
+detections into one reused mask; a chunk allocates only its random integers.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import io
 import json
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -24,14 +26,13 @@ from typing import Sequence
 import numpy as np
 
 from . import _csv
-from .detector import DetectionTest, TailDirection, _detected
+from .detector import DetectionTest, TailDirection, _detected, _region
 from .laplace import LaplaceDist, RngStream
 from .mechanism import (
     AttackSpec,
     Dataset,
     MechanismConfig,
     hypothesis_pair,
-    inject_attack,
     sum_query,
 )
 
@@ -120,18 +121,27 @@ def _simulate(
 ) -> tuple[SimReport, list, list]:
     """Run every chunk of both roles and score the detections.
 
-    ``draw(role, stream, m)`` returns a tuple of m-vectors whose last entry
-    is the residuals. Returns the report and, per role, each chunk's
-    ``(*drawn, detected)`` in chunk order when ``keep`` is set (else None).
+    ``draw(role, stream, out)`` fills the m-vector ``out`` (fresh if ``keep``,
+    else the thread's reused buffer) and returns a tuple of m-vectors whose
+    last entry is the residuals. Returns the report and, per role, each
+    chunk's tuple in chunk order when ``keep`` is set (else None).
     """
     n = sim.n_trials
+    local = threading.local()
+    # One strict comparison per finite end of the region; the ends are disjoint.
+    ends = zip((np.less, np.greater), _region(test.direction, test.offset))
+    sides = [(f, test.cfg.mu0 + t) for f, t in ends if math.isfinite(t)]
 
     def run(task: tuple[int, int]) -> tuple[int, tuple | None]:
         role, c = task
         m = min(_CHUNK, n - c * _CHUNK)
-        drawn = draw(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), m)
-        det = _detected(drawn[-1], test)
-        return int(np.count_nonzero(det)), (*drawn, det) if keep else None
+        if not hasattr(local, "mask"):
+            local.out, local.mask = np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
+        buf = np.empty(m) if keep else local.out[:m]
+        drawn = draw(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), buf)
+        mask = local.mask[:m]
+        hits = sum(int(np.count_nonzero(f(drawn[-1], t, out=mask))) for f, t in sides)
+        return hits, drawn if keep else None
 
     tasks = [(role, c) for role in (0, 1) for c in range((n + _CHUNK - 1) // _CHUNK)]
     if workers > 1:
@@ -171,7 +181,8 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
     dists = hypothesis_pair(sim.cfg, sim.attack)
     report, _, _ = _simulate(
-        sim, test, lambda role, stream, m: (dists[role].sample(stream, m),), workers
+        sim, test, lambda role, stream, out: (dists[role]._sample_into(stream, out),),
+        workers,
     )
     return report
 
@@ -204,27 +215,22 @@ def run_attack_experiment(
     test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
 
-    def draw(role: int, stream: RngStream, m: int) -> tuple[np.ndarray, np.ndarray]:
-        releases = q + noise[role].sample(stream, m)
+    def draw(role: int, stream: RngStream, out: np.ndarray) -> tuple:
+        releases = np.add(q, noise[role]._sample_into(stream, out), out=out)
         if role == 1:
-            releases = inject_attack(releases, sim.attack)
-        return releases, releases - q
+            np.add(releases, sim.attack.x_a, out=releases)
+        # A kept chunk keeps its releases, so its residuals need their own array.
+        return releases, np.subtract(releases, q, out=None if trace else releases)
 
     report, h0, h1 = _simulate(sim, test, draw, workers, keep=trace)
     if not trace:
         return report
 
-    def cat(parts, i):
-        return np.concatenate([p[i] for p in parts])
+    def joined(chunks):
+        releases, residuals = (np.concatenate([c[i] for c in chunks]) for i in (0, 1))
+        return releases, residuals, _detected(residuals, test)
 
-    return report, AttackTrace(
-        h0_releases=cat(h0, 0),
-        h0_residuals=cat(h0, 1),
-        h0_detected=cat(h0, 2),
-        h1_releases=cat(h1, 0),
-        h1_residuals=cat(h1, 1),
-        h1_detected=cat(h1, 2),
-    )
+    return report, AttackTrace(*joined(h0), *joined(h1))
 
 
 def default_grid() -> list[tuple[float, float, float, float]]:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapdetect import LaplaceDist, RngStream
 from lapdetect.quadrature import adaptive_simpson
@@ -175,6 +177,23 @@ class TestSampling:
     def test_all_draws_finite(self):
         z = LaplaceDist(0.0, 1e-3).sample(RngStream(7), 10**5)
         assert np.all(np.isfinite(z))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        mu=st.floats(1e-300, 1e8),
+        negative=st.booleans(),
+        b=st.floats(1e-6, 1e300),
+        n=st.sampled_from([1, 65535, 65536]),
+        seed=st.integers(0, 2**63 - 1),
+    )
+    def test_kernel_matches_closed_form_bitwise(self, mu, negative, b, n, seed):
+        # The in-place kernel must reproduce the plain inverse transform on
+        # RngStream.uniforms, operation for operation.
+        mu = -mu if negative else mu
+        q = RngStream(seed, n).uniforms(n) - 0.5
+        want = mu - b * np.sign(q) * np.log1p(-2 * np.abs(q))
+        got = LaplaceDist(mu, b).sample(RngStream(seed, n), n)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
 class TestMeanAbsDev:

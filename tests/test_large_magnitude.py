@@ -100,3 +100,29 @@ def test_lr_at_k_matches_kappa_far_from_origin(capsys):
     )
     assert (code, err) == (0, "")
     assert out.splitlines() == ["1e+08", "kappa = 1.021887", "lr_at_k = 1.021887"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--alpha", "1e-300", "--dmu", "1"],
+        ["--alpha", "1e-200", "--dmu", "-1", "--tail", "left"],
+    ],
+)
+def test_kappa_beyond_double_range_is_inf(capsys, argv):
+    # The offset is about 690 (right) or -460 (left) b0, so kappa's exponent,
+    # about 1379 or 919, leaves the double range: the cutoff is inf.
+    code, out, err = _run(capsys, "threshold", *argv)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "kappa = inf"
+
+
+def test_overflowing_noise_scale_exits_three(capsys):
+    code, out, err = _run(
+        capsys, "power", "--alpha", "0.1", "--dmu", "1", "--s", "1e300", "--eps", "1e-10"
+    )
+    assert (code, out) == (3, "")
+    assert err == (
+        "error: noise scale s/eps must be positive and finite, "
+        "got s=1e+300, eps=1e-10, theta=1.0\n"
+    )

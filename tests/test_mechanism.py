@@ -49,6 +49,18 @@ class TestMechanismConfig:
         with pytest.raises(ValueError):
             MechanismConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"s": 1e300, "eps": 1e-10},  # b0 = s/eps overflows
+            {"s": 1e300, "eps": 0.5, "theta": 1e10},  # only b1 overflows
+            {"s": 1e-300, "eps": 1e300},  # b0 underflows to 0
+        ],
+    )
+    def test_noise_scale_out_of_range_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="noise scale s/eps must be positive"):
+            MechanismConfig(**kwargs)
+
     @pytest.mark.parametrize("x_a", [math.nan, math.inf, -math.inf])
     def test_attack_bias_must_be_finite(self, x_a):
         with pytest.raises(ValueError, match="finite"):

@@ -218,6 +218,34 @@ class TestStreamKeying:
             np.testing.assert_array_equal(got, want, err_msg=name)
 
 
+class TestBufferedChunks:
+    """Untraced runs sample into per-thread buffers and count each end of the
+    region separately; traced runs keep fresh arrays. Both score the same."""
+
+    N = 100_003  # not a multiple of the 2^16 chunk
+    DATA = Dataset(records=(0.5, 0.25, 1.0), bound=1.0)
+
+    def _sim(self, direction):
+        return _sim(
+            cfg=MechanismConfig(s=1.0, eps=0.7, theta=1.5, mu0=0.3),
+            attack=AttackSpec(-0.8 if direction is TailDirection.LEFT else 0.8),
+            direction=direction,
+            n_trials=self.N,
+        )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("direction", list(TailDirection))
+    def test_untraced_report_equals_traced(self, workers, direction):
+        sim = self._sim(direction)
+        report, _ = run_attack_experiment(self.DATA, sim, workers=workers, trace=True)
+        assert run_attack_experiment(self.DATA, sim, workers=workers) == report
+
+    @pytest.mark.parametrize("direction", list(TailDirection))
+    def test_estimate_same_at_one_and_two_workers(self, direction):
+        sim = self._sim(direction)
+        assert estimate_error_rates(sim, workers=1) == estimate_error_rates(sim, workers=2)
+
+
 class TestGrid:
     def test_default_grid_shape(self):
         grid = default_grid()
