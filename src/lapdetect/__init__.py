@@ -17,7 +17,7 @@ from .mechanism import *  # noqa: F403
 from .montecarlo import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 __all__ = [
     *detector.__all__,

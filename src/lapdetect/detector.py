@@ -40,14 +40,8 @@ __all__ = [
     "RocPoint",
     "RocCurve",
     "BiasInterval",
-    "one_sided_threshold",
-    "one_sided_size",
-    "one_sided_power",
     "likelihood_ratio",
     "kappa",
-    "two_sided_thresholds",
-    "two_sided_size",
-    "two_sided_power",
     "decide",
     "roc_curve",
     "bias_interval",
@@ -104,41 +98,7 @@ def _region(direction: TailDirection, offset: float) -> tuple[float, float]:
 
 def _mass(dist: LaplaceDist, lo: float, hi: float) -> float:
     """Mass of ``dist``, centred on mu0, below lo plus above hi (inf adds 0)."""
-    if lo > hi:
-        raise ValueError(f"need k2 <= k1, got k2 - mu0 = {lo} > k1 - mu0 = {hi}")
     return dist.cdf(lo) + dist.survival(hi)
-
-
-def one_sided_threshold(
-    alpha: float, cfg: MechanismConfig, direction: TailDirection
-) -> float:
-    """Threshold of the size-alpha one-sided critical region.
-
-    Right tail: the k with P_H0(Z > k) = alpha, i.e. the (1-alpha)
-    quantile of Lap(mu0, s/eps); left tail: the alpha quantile. Equals
-    mu0 exactly at alpha = 0.5, where the two closed-form branches
-    (mu0 - (s/eps) ln(2 alpha) for alpha <= 0.5 on the right tail,
-    mu0 + (s/eps) ln(2(1-alpha)) above) meet.
-    """
-    if not direction.one_sided:
-        raise ValueError("one-sided threshold requires a right or left tail")
-    return cfg.mu0 + _calibrate(alpha, cfg.b0, direction)
-
-
-def one_sided_size(k: float, cfg: MechanismConfig, direction: TailDirection) -> float:
-    """False-alarm probability of the threshold test: null mass beyond k."""
-    if not direction.one_sided:
-        raise ValueError("one-sided size requires a right or left tail")
-    return _mass(LaplaceDist(0.0, cfg.b0), *_region(direction, k - cfg.mu0))
-
-
-def one_sided_power(
-    k: float, cfg: MechanismConfig, attack: AttackSpec, direction: TailDirection
-) -> float:
-    """Detection probability: alternative mass beyond k; always in [0, 1]."""
-    if not direction.one_sided:
-        raise ValueError("one-sided power requires a right or left tail")
-    return _mass(LaplaceDist(attack.x_a, cfg.b1), *_region(direction, k - cfg.mu0))
 
 
 def likelihood_ratio(
@@ -159,33 +119,6 @@ def likelihood_ratio(
             return math.inf
     z = np.asarray(z, dtype=float)
     return np.exp(np.abs(z - h0.mu) / h0.b - np.abs(z - h1.mu) / h1.b) / cfg.theta
-
-
-def two_sided_thresholds(alpha: float, cfg: MechanismConfig) -> tuple[float, float]:
-    """Symmetric pair (k1, k2) with null mass alpha/2 in each outer tail.
-
-    k1 = mu0 - (s/eps) ln(alpha) >= mu0 >= k2 = mu0 + (s/eps) ln(alpha);
-    alpha = 1 collapses both onto mu0 (the test always rejects).
-    """
-    half = _calibrate(alpha, cfg.b0, TailDirection.TWO_SIDED)
-    return cfg.mu0 + half, cfg.mu0 - half
-
-
-def two_sided_size(k1: float, k2: float, cfg: MechanismConfig) -> float:
-    """False-alarm probability of the two-sided test: null mass outside (k2, k1)."""
-    return _mass(LaplaceDist(0.0, cfg.b0), k2 - cfg.mu0, k1 - cfg.mu0)
-
-
-def two_sided_power(
-    k1: float, k2: float, cfg: MechanismConfig, attack: AttackSpec
-) -> float:
-    """Detection probability of the two-sided test: H1 mass outside (k2, k1).
-
-    Equals (1/2) e^{eps(k2-mu1)/(theta s)} + (1/2) e^{-eps(k1-mu1)/(theta s)}
-    whenever k2 <= mu1 <= k1, and remains a valid probability when mu1
-    falls outside the acceptance interval.
-    """
-    return _mass(LaplaceDist(attack.x_a, cfg.b1), k2 - cfg.mu0, k1 - cfg.mu0)
 
 
 @dataclass(frozen=True)
@@ -267,6 +200,8 @@ def kappa(test: DetectionTest, attack: AttackSpec) -> float:
 
 def decide(residual_z: float, test: DetectionTest) -> Decision:
     """Classify one residual; boundary values are NotDetected (strict tails)."""
+    if math.isnan(residual_z):  # NaN fails every strict comparison
+        raise ValueError("cannot classify a NaN residual")
     return (
         Decision.DETECTED if bool(_detected(residual_z, test)) else Decision.NOT_DETECTED
     )

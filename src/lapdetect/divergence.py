@@ -101,7 +101,7 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     Raises:
         QuadratureError: If the subdivision budget cannot reach ``tol``.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     log_scale = math.log(p1.b / p0.b)
     mu0, mu1 = p0.mu, p1.mu

@@ -126,6 +126,8 @@ def _simulate(
     last entry is the residuals. Returns the report and, per role, each
     chunk's tuple in chunk order when ``keep`` is set (else None).
     """
+    if workers < 1:
+        raise ValueError(f"need at least one worker, got workers={workers}")
     n = sim.n_trials
     local = threading.local()
     # One strict comparison per finite end of the region; the ends are disjoint.

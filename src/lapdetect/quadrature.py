@@ -92,10 +92,10 @@ def adaptive_simpson(
         (up to the validity of the Simpson error model).
 
     Raises:
-        ValueError: If ``a > b`` or ``tol <= 0``.
+        ValueError: If ``a > b`` or ``tol`` is not positive.
         QuadratureError: If the budget is exhausted before convergence.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
     if a > b:
         raise ValueError(f"integration limits must be ordered, got ({a}, {b})")

@@ -15,6 +15,7 @@ import pytest
 
 from lapdetect import (
     AttackSpec,
+    DetectionTest,
     LaplaceDist,
     MechanismConfig,
     TailDirection,
@@ -23,14 +24,8 @@ from lapdetect import (
     kl_laplace,
     kl_quadrature,
     likelihood_ratio,
-    one_sided_power,
-    one_sided_size,
-    one_sided_threshold,
     roc_curve,
     run_grid,
-    two_sided_power,
-    two_sided_size,
-    two_sided_thresholds,
 )
 from lapdetect.cli import main
 from oracles import left_mass, outside_mass, right_mass
@@ -64,8 +59,8 @@ def test_01_threshold_continuity():
                 eps=float(rng.uniform(0.01, 5.0)),
                 mu0=float(rng.uniform(-100.0, 100.0)),
             )
-            assert one_sided_threshold(0.5, cfg, RIGHT) == cfg.mu0
-            assert one_sided_threshold(0.5, cfg, LEFT) == cfg.mu0
+            assert DetectionTest.from_alpha(0.5, cfg, RIGHT).k == cfg.mu0
+            assert DetectionTest.from_alpha(0.5, cfg, LEFT).k == cfg.mu0
 
 
 def test_02_roundtrip_exactness():
@@ -79,10 +74,10 @@ def test_02_roundtrip_exactness():
             for i in range(1, 1000):
                 alpha = i / 1000.0
                 for d in (RIGHT, LEFT):
-                    k = one_sided_threshold(alpha, cfg, d)
-                    assert abs(one_sided_size(k, cfg, d) - alpha) <= 1e-12
-                k1, k2 = two_sided_thresholds(alpha, cfg)
-                assert abs(two_sided_size(k1, k2, cfg) - alpha) <= 1e-12
+                    t = DetectionTest.from_alpha(alpha, cfg, d)
+                    assert abs(t.size() - alpha) <= 1e-12
+                t = DetectionTest.from_alpha(alpha, cfg, TWO)
+                assert abs(t.size() - alpha) <= 1e-12
 
 
 def test_03_oracle_agreement():
@@ -100,17 +95,14 @@ def test_03_oracle_agreement():
             alpha = float(rng.uniform(0.005, 0.995))
             h0, h1 = hypothesis_pair(cfg, attack)
             d = (RIGHT, LEFT, TWO)[int(rng.integers(3))]
+            t = DetectionTest.from_alpha(alpha, cfg, d)
             if d is TWO:
-                k1, k2 = two_sided_thresholds(alpha, cfg)
-                size_err = abs(two_sided_size(k1, k2, cfg) - outside_mass(h0, k1, k2))
-                power_err = abs(
-                    two_sided_power(k1, k2, cfg, attack) - outside_mass(h1, k1, k2)
-                )
+                size_err = abs(t.size() - outside_mass(h0, t.k1, t.k2))
+                power_err = abs(t.power(attack) - outside_mass(h1, t.k1, t.k2))
             else:
-                k = one_sided_threshold(alpha, cfg, d)
                 mass = right_mass if d is RIGHT else left_mass
-                size_err = abs(one_sided_size(k, cfg, d) - mass(h0, k))
-                power_err = abs(one_sided_power(k, cfg, attack, d) - mass(h1, k))
+                size_err = abs(t.size() - mass(h0, t.k))
+                power_err = abs(t.power(attack) - mass(h1, t.k))
             worst = max(worst, size_err, power_err)
         assert worst <= 1e-8, f"max |closed - quadrature| = {worst:.3e}"
 
@@ -151,10 +143,8 @@ def test_06_two_sided_never_beats_one_sided():
                 attack = AttackSpec(dmu)
                 for i in range(1, 10):
                     alpha = i / 10.0
-                    k = one_sided_threshold(alpha, cfg, RIGHT)
-                    p_one = one_sided_power(k, cfg, attack, RIGHT)
-                    k1, k2 = two_sided_thresholds(alpha, cfg)
-                    p_two = two_sided_power(k1, k2, cfg, attack)
+                    p_one = DetectionTest.from_alpha(alpha, cfg, RIGHT).power(attack)
+                    p_two = DetectionTest.from_alpha(alpha, cfg, TWO).power(attack)
                     assert p_two <= p_one + 1e-12, (
                         f"two-sided beats one-sided at eps={eps}, dmu={dmu}, "
                         f"alpha={alpha}: {p_two} > {p_one}"

@@ -103,6 +103,8 @@ class TestExitCodes:
             ["threshold", "--alpha", "0.1", "--theta", "0.5"],
             ["interval", "--alpha", "0", "--beta-bar", "0.5"],
             ["simulate", "--alpha", "0.1"],  # no --dmu and no --sweep
+            ["simulate", "--dmu", "1", "--samples", "100", "--workers", "0"],
+            ["simulate", "--dmu", "1", "--samples", "100", "--workers", "-7"],
         ],
     )
     def test_domain_errors_exit_three(self, capsys, argv):

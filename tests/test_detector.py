@@ -23,13 +23,7 @@ from lapdetect import (
     hypothesis_pair,
     kappa,
     likelihood_ratio,
-    one_sided_power,
-    one_sided_size,
-    one_sided_threshold,
     roc_curve,
-    two_sided_power,
-    two_sided_size,
-    two_sided_thresholds,
     write_roc_csv,
 )
 from oracles import laplace_shift_auc, left_mass, outside_mass, right_mass
@@ -39,12 +33,27 @@ RIGHT, LEFT, TWO = TailDirection.RIGHT, TailDirection.LEFT, TailDirection.TWO_SI
 UNIT = MechanismConfig(s=1.0, eps=1.0)
 
 
+def at_k(k, cfg, direction):
+    """The one-sided test whose threshold is the uncalibrated absolute k.
+
+    Its size is the H0 tail beyond k, so its size() and power() are the H0
+    and H1 masses of that tail.
+    """
+    h0 = cfg.null_dist()
+    alpha = h0.survival(k) if direction is RIGHT else h0.cdf(k)
+    return DetectionTest(direction=direction, alpha=alpha, cfg=cfg, offset=k - cfg.mu0)
+
+
+def threshold(alpha, cfg, direction):
+    return DetectionTest.from_alpha(alpha, cfg, direction).k
+
+
 class TestOneSidedThreshold:
     def test_quartile_values(self):
-        assert one_sided_threshold(0.25, UNIT, RIGHT) == pytest.approx(
+        assert threshold(0.25, UNIT, RIGHT) == pytest.approx(
             math.log(2.0), rel=1e-15
         )
-        assert one_sided_threshold(0.75, UNIT, RIGHT) == pytest.approx(
+        assert threshold(0.75, UNIT, RIGHT) == pytest.approx(
             -math.log(2.0), rel=1e-15
         )
 
@@ -56,50 +65,54 @@ class TestOneSidedThreshold:
                 eps=float(rng.uniform(0.05, 5.0)),
                 mu0=float(rng.uniform(-50.0, 50.0)),
             )
-            assert one_sided_threshold(0.5, cfg, RIGHT) == cfg.mu0
-            assert one_sided_threshold(0.5, cfg, LEFT) == cfg.mu0
+            assert threshold(0.5, cfg, RIGHT) == cfg.mu0
+            assert threshold(0.5, cfg, LEFT) == cfg.mu0
 
     def test_matches_branch_closed_forms(self):
         # k = mu0 - (s/eps) ln(2 alpha) on the small-alpha side and
         # mu0 + (s/eps) ln(2 (1 - alpha)) on the other, for the right tail.
         cfg = MechanismConfig(s=1.3, eps=0.6, mu0=-2.0)
         for alpha in (0.01, 0.2, 0.49):
-            assert one_sided_threshold(alpha, cfg, RIGHT) == cfg.mu0 - cfg.b0 * math.log(
+            assert threshold(alpha, cfg, RIGHT) == cfg.mu0 - cfg.b0 * math.log(
                 2.0 * alpha
             )
         for alpha in (0.51, 0.8, 0.99):
-            assert one_sided_threshold(alpha, cfg, RIGHT) == cfg.mu0 + cfg.b0 * math.log(
+            assert threshold(alpha, cfg, RIGHT) == cfg.mu0 + cfg.b0 * math.log(
                 2.0 * (1.0 - alpha)
             )
 
     def test_left_is_mirror(self):
         cfg = MechanismConfig(s=1.0, eps=1.0, mu0=0.0)
         for alpha in (0.05, 0.3, 0.5, 0.7, 0.95):
-            assert one_sided_threshold(alpha, cfg, LEFT) == pytest.approx(
-                -one_sided_threshold(alpha, cfg, RIGHT), abs=1e-15
+            assert threshold(alpha, cfg, LEFT) == pytest.approx(
+                -threshold(alpha, cfg, RIGHT), abs=1e-15
             )
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0, -0.2, 1.2])
     def test_domain(self, alpha):
         with pytest.raises(ValueError):
-            one_sided_threshold(alpha, UNIT, RIGHT)
+            threshold(alpha, UNIT, RIGHT)
 
     def test_two_sided_direction_rejected(self):
-        with pytest.raises(ValueError):
-            one_sided_threshold(0.1, UNIT, TWO)
+        # A two-sided request is a pair, not a one-sided threshold, and the
+        # one-sided cutoff rejects it.
+        t = DetectionTest.from_alpha(0.1, UNIT, TWO)
+        assert t.k2 is not None and t.k1 != threshold(0.1, UNIT, RIGHT)
+        with pytest.raises(ValueError, match="one-sided"):
+            kappa(t, AttackSpec(1.0))
 
 
 class TestOneSidedSizeAndPower:
     def test_size_at_location(self):
-        assert one_sided_size(UNIT.mu0, UNIT, RIGHT) == 0.5
+        assert at_k(UNIT.mu0, UNIT, RIGHT).size() == 0.5
 
     def test_size_exponential_branches(self):
         # Published tail forms: (1/2) e^{-(eps/s)(k-mu0)} for k >= mu0 and
         # 1 - (1/2) e^{(eps/s)(k-mu0)} below.
-        assert one_sided_size(1.0, UNIT, RIGHT) == pytest.approx(
+        assert at_k(1.0, UNIT, RIGHT).size() == pytest.approx(
             0.5 * math.exp(-1.0), rel=1e-15
         )
-        assert one_sided_size(-1.0, UNIT, RIGHT) == pytest.approx(
+        assert at_k(-1.0, UNIT, RIGHT).size() == pytest.approx(
             1.0 - 0.5 * math.exp(-1.0), rel=1e-15
         )
 
@@ -109,19 +122,19 @@ class TestOneSidedSizeAndPower:
         for i in range(1, 1000):
             alpha = i / 1000.0
             for d in (RIGHT, LEFT):
-                k = one_sided_threshold(alpha, cfg, d)
-                assert abs(one_sided_size(k, cfg, d) - alpha) <= 1e-12
+                t = DetectionTest.from_alpha(alpha, cfg, d)
+                assert abs(t.size() - alpha) <= 1e-12
 
     def test_power_half_at_alternative_location(self):
         attack = AttackSpec(1.0)
-        assert one_sided_power(1.0, UNIT, attack, RIGHT) == 0.5
+        assert at_k(1.0, UNIT, RIGHT).power(attack) == 0.5
 
     def test_power_frozen_value_with_oracles(self):
         # k = ln 2 against H1 = Lap(1, 1): mass of (ln 2, inf) is 1 - 1/e.
         # Frozen from the quadrature oracle; Monte Carlo agrees.
         k = math.log(2.0)
         attack = AttackSpec(1.0)
-        power = one_sided_power(k, UNIT, attack, RIGHT)
+        power = at_k(k, UNIT, RIGHT).power(attack)
         assert power == pytest.approx(0.6321205588285577, rel=1e-15)
         _, h1 = hypothesis_pair(UNIT, attack)
         assert power == pytest.approx(right_mass(h1, k), abs=1e-9)
@@ -131,10 +144,10 @@ class TestOneSidedSizeAndPower:
         assert power == pytest.approx(mc, abs=3.0 * math.sqrt(power * (1 - power) / n))
 
     def test_power_saturates_with_bias(self):
-        assert one_sided_power(2.0, UNIT, AttackSpec(1e9), RIGHT) == pytest.approx(
+        assert at_k(2.0, UNIT, RIGHT).power(AttackSpec(1e9)) == pytest.approx(
             1.0, abs=1e-12
         )
-        assert one_sided_power(-2.0, UNIT, AttackSpec(-1e9), LEFT) == pytest.approx(
+        assert at_k(-2.0, UNIT, LEFT).power(AttackSpec(-1e9)) == pytest.approx(
             1.0, abs=1e-12
         )
 
@@ -147,7 +160,7 @@ class TestOneSidedSizeAndPower:
                 theta=float(rng.uniform(1.0, 3.0)),
             )
             k = float(rng.uniform(-20.0, 20.0))
-            p = one_sided_power(k, cfg, AttackSpec(float(rng.uniform(-8, 8))), RIGHT)
+            p = at_k(k, cfg, RIGHT).power(AttackSpec(float(rng.uniform(-8, 8))))
             assert 0.0 <= p <= 1.0
 
 
@@ -195,9 +208,7 @@ class TestLikelihoodRatio:
 class TestKappa:
     def test_midpoint_cutoff_is_one(self):
         k = 0.5  # midpoint of mu0 = 0, mu1 = 1 at theta = 1
-        t = DetectionTest(
-            direction=RIGHT, alpha=one_sided_size(k, UNIT, RIGHT), cfg=UNIT, offset=k
-        )
+        t = at_k(k, UNIT, RIGHT)
         assert kappa(t, AttackSpec(1.0)) == pytest.approx(1.0, rel=1e-15)
 
     def test_frozen_value(self):
@@ -224,12 +235,10 @@ class TestKappa:
             )
             x_a = float(rng.uniform(0.3, 5.0))
             alpha = float(rng.uniform(0.02, 0.49))
-            k = one_sided_threshold(alpha, cfg, RIGHT)
+            t = DetectionTest.from_alpha(alpha, cfg, RIGHT)
+            k = t.k
             if not cfg.mu0 <= k <= cfg.mu0 + x_a:
                 continue
-            t = DetectionTest(
-                direction=RIGHT, alpha=one_sided_size(k, cfg, RIGHT), cfg=cfg, offset=k - cfg.mu0
-            )
             attack = AttackSpec(x_a)
             assert kappa(t, attack) == pytest.approx(
                 likelihood_ratio(k, cfg, attack), abs=1e-12, rel=1e-12
@@ -248,10 +257,12 @@ class TestKappa:
 class TestTwoSided:
     def test_alpha_one_collapses_to_location(self):
         cfg = MechanismConfig(s=1.0, eps=1.0, mu0=2.5)
-        assert two_sided_thresholds(1.0, cfg) == (2.5, 2.5)
+        t = DetectionTest.from_alpha(1.0, cfg, TWO)
+        assert (t.k1, t.k2) == (2.5, 2.5)
 
     def test_frozen_five_percent(self):
-        k1, k2 = two_sided_thresholds(0.05, UNIT)
+        t = DetectionTest.from_alpha(0.05, UNIT, TWO)
+        k1, k2 = t.k1, t.k2
         assert k1 == pytest.approx(2.9957322735539909, rel=1e-15)
         assert k2 == -k1
         # Quadrature oracle: each outer region holds alpha/2.
@@ -259,68 +270,61 @@ class TestTwoSided:
         assert outside_mass(d0, k1, k2) == pytest.approx(0.05, abs=1e-9)
 
     def test_half_splits_at_quartiles(self):
-        k1, k2 = two_sided_thresholds(0.5, UNIT)
+        t = DetectionTest.from_alpha(0.5, UNIT, TWO)
+        k1, k2 = t.k1, t.k2
         assert k1 == pytest.approx(math.log(2.0), rel=1e-15)
         assert k2 == pytest.approx(-math.log(2.0), rel=1e-15)
 
     @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.0001])
     def test_domain(self, alpha):
         with pytest.raises(ValueError):
-            two_sided_thresholds(alpha, UNIT)
+            DetectionTest.from_alpha(alpha, UNIT, TWO)
 
     def test_size_roundtrip_grid(self):
         cfg = MechanismConfig(s=0.5, eps=2.0, mu0=-1.0)
         for i in range(1, 1000):
             alpha = i / 1000.0
-            k1, k2 = two_sided_thresholds(alpha, cfg)
-            assert abs(two_sided_size(k1, k2, cfg) - alpha) <= 1e-12
+            t = DetectionTest.from_alpha(alpha, cfg, TWO)
+            assert abs(t.size() - alpha) <= 1e-12
 
     def test_power_equals_size_when_null_true(self):
         cfg = MechanismConfig(s=1.0, eps=1.0, theta=1.0)
-        k1, k2 = two_sided_thresholds(0.2, cfg)
-        power = two_sided_power(k1, k2, cfg, AttackSpec(0.0))
+        power = DetectionTest.from_alpha(0.2, cfg, TWO).power(AttackSpec(0.0))
         assert power == pytest.approx(0.2, rel=1e-13)
 
     def test_power_frozen_at_upper_threshold(self):
         # mu1 sitting exactly on k1: half mass above plus the sliver below k2.
-        k1, k2 = two_sided_thresholds(0.05, UNIT)
-        power = two_sided_power(k1, k2, UNIT, AttackSpec(k1))
+        t = DetectionTest.from_alpha(0.05, UNIT, TWO)
+        k1, k2 = t.k1, t.k2
+        power = t.power(AttackSpec(k1))
         assert power == pytest.approx(0.50125, rel=1e-12)
         _, h1 = hypothesis_pair(UNIT, AttackSpec(k1))
         assert power == pytest.approx(outside_mass(h1, k1, k2), abs=1e-9)
 
     def test_power_saturates(self):
-        k1, k2 = two_sided_thresholds(0.05, UNIT)
-        assert two_sided_power(k1, k2, UNIT, AttackSpec(1e9)) == pytest.approx(1.0)
-        assert two_sided_power(k1, k2, UNIT, AttackSpec(-1e9)) == pytest.approx(1.0)
+        t = DetectionTest.from_alpha(0.05, UNIT, TWO)
+        assert t.power(AttackSpec(1e9)) == pytest.approx(1.0)
+        assert t.power(AttackSpec(-1e9)) == pytest.approx(1.0)
 
     def test_closed_form_inside_regime(self):
         # (1/2) e^{eps(k2-mu1)/(theta s)} + (1/2) e^{-eps(k1-mu1)/(theta s)}
         # for k2 <= mu1 <= k1.
         cfg = MechanismConfig(s=1.0, eps=1.0, theta=1.5)
-        k1, k2 = two_sided_thresholds(0.1, cfg)
+        t = DetectionTest.from_alpha(0.1, cfg, TWO)
+        k1, k2 = t.k1, t.k2
         mu1 = 1.0
         expected = 0.5 * math.exp((k2 - mu1) / cfg.b1) + 0.5 * math.exp(
             -(k1 - mu1) / cfg.b1
         )
-        assert two_sided_power(k1, k2, cfg, AttackSpec(mu1)) == pytest.approx(
+        assert t.power(AttackSpec(mu1)) == pytest.approx(
             expected, rel=1e-14
         )
 
     def test_power_monotone_in_absolute_bias(self):
         cfg = MechanismConfig(s=1.0, eps=1.0, theta=1.0)
-        k1, k2 = two_sided_thresholds(0.1, cfg)
-        powers = [
-            two_sided_power(k1, k2, cfg, AttackSpec(d))
-            for d in np.linspace(0.0, 8.0, 50)
-        ]
+        t = DetectionTest.from_alpha(0.1, cfg, TWO)
+        powers = [t.power(AttackSpec(d)) for d in np.linspace(0.0, 8.0, 50)]
         assert all(b >= a - 1e-15 for a, b in zip(powers, powers[1:]))
-
-    def test_misordered_thresholds_rejected(self):
-        with pytest.raises(ValueError):
-            two_sided_size(-1.0, 1.0, UNIT)
-        with pytest.raises(ValueError):
-            two_sided_power(-1.0, 1.0, UNIT, AttackSpec(1.0))
 
 
 class TestDetectionTest:
@@ -351,17 +355,17 @@ class TestDetectionTest:
 
 class TestDecide:
     def test_right_tail(self):
-        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, offset=1.0)
+        t = at_k(1.0, UNIT, RIGHT)
         assert decide(2.0, t) is Decision.DETECTED
         assert decide(0.5, t) is Decision.NOT_DETECTED
 
     def test_boundary_not_detected(self):
         # The release must strictly exceed the threshold.
-        t = DetectionTest(direction=RIGHT, alpha=one_sided_size(1.0, UNIT, RIGHT), cfg=UNIT, offset=1.0)
+        t = at_k(1.0, UNIT, RIGHT)
         assert decide(1.0, t) is Decision.NOT_DETECTED
 
     def test_left_tail(self):
-        t = DetectionTest(direction=LEFT, alpha=one_sided_size(-1.0, UNIT, LEFT), cfg=UNIT, offset=-1.0)
+        t = at_k(-1.0, UNIT, LEFT)
         assert decide(-2.0, t) is Decision.DETECTED
         assert decide(0.0, t) is Decision.NOT_DETECTED
 
@@ -371,6 +375,14 @@ class TestDecide:
         assert decide(t.k1 + 0.1, t) is Decision.DETECTED
         assert decide(t.k2 - 0.1, t) is Decision.DETECTED
         assert decide(t.k1, t) is Decision.NOT_DETECTED
+
+    @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
+    def test_nan_residual_rejected(self, direction):
+        # NaN compares false against every threshold; it must not pass as
+        # NotDetected.
+        t = DetectionTest.from_alpha(0.05, UNIT, direction)
+        with pytest.raises(ValueError, match="NaN"):
+            decide(math.nan, t)
 
 
 class TestRocCurve:
@@ -482,20 +494,14 @@ class TestSizePowerAgainstQuadrature:
             attack = AttackSpec(float(rng.uniform(-5.0, 5.0)) * cfg.s)
             alpha = float(rng.uniform(0.01, 0.99))
             h0, h1 = hypothesis_pair(cfg, attack)
-            k = one_sided_threshold(alpha, cfg, RIGHT)
-            assert one_sided_size(k, cfg, RIGHT) == pytest.approx(
-                right_mass(h0, k), abs=1e-8
-            )
-            assert one_sided_power(k, cfg, attack, RIGHT) == pytest.approx(
-                right_mass(h1, k), abs=1e-8
-            )
-            kl = one_sided_threshold(alpha, cfg, LEFT)
-            assert one_sided_size(kl, cfg, LEFT) == pytest.approx(
-                left_mass(h0, kl), abs=1e-8
-            )
-            k1, k2 = two_sided_thresholds(alpha, cfg)
-            assert two_sided_power(k1, k2, cfg, attack) == pytest.approx(
-                outside_mass(h1, k1, k2), abs=1e-8
+            t = DetectionTest.from_alpha(alpha, cfg, RIGHT)
+            assert t.size() == pytest.approx(right_mass(h0, t.k), abs=1e-8)
+            assert t.power(attack) == pytest.approx(right_mass(h1, t.k), abs=1e-8)
+            tl = DetectionTest.from_alpha(alpha, cfg, LEFT)
+            assert tl.size() == pytest.approx(left_mass(h0, tl.k), abs=1e-8)
+            t2 = DetectionTest.from_alpha(alpha, cfg, TWO)
+            assert t2.power(attack) == pytest.approx(
+                outside_mass(h1, t2.k1, t2.k2), abs=1e-8
             )
 
 
@@ -509,10 +515,9 @@ class TestRocCsv:
         alpha, k1, k2, power = lines[1].split(",")
         assert float(alpha) == 0.25
         assert k2 == ""  # one-sided leaves the second threshold empty
-        assert float(k1) == one_sided_threshold(0.25, UNIT, RIGHT)  # 17g roundtrips
-        assert float(power) == one_sided_power(
-            one_sided_threshold(0.25, UNIT, RIGHT), UNIT, AttackSpec(1.0), RIGHT
-        )
+        t = DetectionTest.from_alpha(0.25, UNIT, RIGHT)
+        assert float(k1) == t.k  # 17g roundtrips
+        assert float(power) == t.power(AttackSpec(1.0))
 
     def test_two_sided_fills_k2(self):
         buf = io.StringIO()

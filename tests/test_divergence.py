@@ -136,10 +136,11 @@ class TestKlQuadrature:
         val = kl_quadrature(LaplaceDist(0.0, 2.0), LaplaceDist(0.0, 1.0))
         assert val == pytest.approx(1.0 - math.log(2.0), abs=1e-10)
 
-    def test_tolerance_must_be_positive(self):
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan])
+    def test_tolerance_must_be_positive(self, tol):
         d = LaplaceDist(0.0, 1.0)
         with pytest.raises(ValueError):
-            kl_quadrature(d, d, tol=-1e-9)
+            kl_quadrature(d, d, tol=tol)
 
     @pytest.mark.parametrize(
         "p1, tol",

@@ -100,6 +100,19 @@ class TestEstimateErrorRates:
         with pytest.raises(ValueError):
             _sim(n_trials=0)
 
+    @pytest.mark.parametrize("workers", [0, -7])
+    def test_worker_count_validated(self, workers):
+        # One check in the shared scheduler serves every entry point.
+        data = Dataset(records=(0.5,), bound=1.0)
+        calls = (
+            lambda: estimate_error_rates(_sim(n_trials=10), workers=workers),
+            lambda: run_attack_experiment(data, _sim(n_trials=10), workers=workers),
+            lambda: run_grid(grid=default_grid()[:1], n_trials=10, workers=workers),
+        )
+        for call in calls:
+            with pytest.raises(ValueError, match="worker"):
+                call()
+
 
 class TestRunAttackExperiment:
     DATA = Dataset(records=(0.5, 0.25, 1.0, 0.75), bound=1.0)

@@ -1,5 +1,8 @@
 """The package's public surface is exactly its modules' ``__all__`` lists."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 import lapdetect
@@ -27,3 +30,11 @@ def test_module_all_names_no_private_object(mod):
         assert not name.startswith("_"), name
         obj = getattr(mod, name)
         assert not getattr(obj, "__name__", name).startswith("_"), name
+
+
+def test_version_matches_pyproject():
+    # A regex, not tomllib: tomllib needs Python 3.11 and 3.10 is supported.
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
+    assert match is not None, "no version line in pyproject.toml"
+    assert lapdetect.__version__ == match.group(1)

@@ -39,9 +39,10 @@ def test_reversed_limits_rejected():
         adaptive_simpson(math.exp, 1.0, 0.0)
 
 
-def test_nonpositive_tol_rejected():
+@pytest.mark.parametrize("tol", [0.0, math.nan])
+def test_nonpositive_tol_rejected(tol):
     with pytest.raises(ValueError, match="positive"):
-        adaptive_simpson(math.exp, 0.0, 1.0, tol=0.0)
+        adaptive_simpson(math.exp, 0.0, 1.0, tol=tol)
 
 
 def test_oscillatory_integrand_converges():
