@@ -153,16 +153,18 @@ def kl_sweep(
     are the no-attack and attack noise laws; rows carry the closed form and
     the e^eps bound, flagging cells where the bound is violated.
     """
-    if not s > 0.0:
-        raise ValueError(f"sensitivity must be positive, got s={s}")
+    if not 0.0 < s < math.inf:
+        raise ValueError(f"sensitivity must be finite and > 0, got s={s}")
+    if not (len(eps_grid) and len(thetas) and len(dmu_over_s)):
+        raise ValueError("eps_grid, thetas and dmu_over_s must each be nonempty")
     rows = []
     for theta in thetas:
-        if theta < 1.0:
-            raise ValueError(f"scale inflation must be >= 1, got theta={theta}")
+        if not 1.0 <= theta < math.inf:
+            raise ValueError(f"scale inflation must be finite and >= 1, got theta={theta}")
         for ratio in dmu_over_s:
             for eps in eps_grid:
-                if eps <= 0.0:
-                    raise ValueError(f"privacy parameter must be positive, got {eps}")
+                if not 0.0 < eps < math.inf:
+                    raise ValueError(f"privacy parameter must be finite and > 0, got {eps}")
                 b0 = s / eps
                 p0 = LaplaceDist(mu0, b0)
                 p1 = LaplaceDist(mu0 + ratio * s, theta * b0)

@@ -20,6 +20,7 @@ __all__ = ["LaplaceDist", "RngStream"]
 # are excluded so the inverse transform never produces an infinite quantile.
 _U_DENOM = 1 << 53
 _U_SCALE = 2.0**-53
+_U_HALF = float(1 << 52)  # the lattice point of q = 0, where draws equal mu
 
 
 @dataclass(frozen=True)
@@ -114,25 +115,65 @@ class LaplaceDist:
     def sample(self, rng: RngStream, n: int) -> np.ndarray:
         """``n`` i.i.d. draws by inverse transform; deterministic per stream.
 
-        The Monte Carlo harness runs the same kernel on per-thread buffers.
+        The Monte Carlo harness counts detections among these same draws,
+        forming only the few near a threshold (``_count``).
         """
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
         return self._sample_into(rng, np.empty(n))
 
     def _sample_into(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
-        """Fill float64 ``out`` with mu - b sign(q) log1p(-2|q|), q = u - 0.5.
+        """Fill float64 ``out`` with the next ``out.size`` draws of ``rng``."""
+        return self._transform(rng.generator().integers(1, _U_DENOM, size=out.size), out)
+
+    def _transform(self, k: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Fill ``out`` with mu - b sign(q) log1p(-2|q|), q = k/2^53 - 0.5.
 
         One in-place pass per operation of that expression, in its order, so
         the draws match it bit for bit. log1p's argument is exact on the
-        lattice k/2^53; b sign(q) reuses the lattice's int64 array.
+        lattice k/2^53; b sign(q) overwrites the int64 lattice points ``k``.
         """
-        k = rng.generator().integers(1, _U_DENOM, size=out.size)
         q = np.subtract(np.multiply(k, _U_SCALE, out=out), 0.5, out=out)
         sb = np.sign(q, out=k.view(np.float64))
         np.multiply(sb, self.b, out=sb)
         np.log1p(np.multiply(np.abs(q, out=q), -2.0, out=q), out=q)
         return np.subtract(self.mu, np.multiply(sb, q, out=q), out=q)
+
+    def _count(self, rng: RngStream, m: int, sides) -> int:
+        """Sum of count_nonzero(f(sample(rng, m), t)) over (f, t) in ``sides``.
+
+        f is np.less or np.greater. Lattice points outside ``_cuts(t)``, or
+        none if t overflowed, are counted by comparison; the rest transformed.
+        """
+        k = rng.generator().integers(1, _U_DENOM, size=m)
+        hits = 0
+        for f, t in sides:
+            lo, hi = self._cuts(t) if math.isfinite(t) else (0, _U_DENOM)
+            above, from_lo = int(np.count_nonzero(k > hi)), int(np.count_nonzero(k >= lo))
+            hits += above if f is np.greater else m - from_lo
+            if from_lo > above:
+                band = k[(k >= lo) & (k <= hi)]
+                x = self._transform(band, np.empty(band.size))
+                hits += int(np.count_nonzero(f(x, t)))
+        return hits
+
+    def _cuts(self, t: float) -> tuple[int, int]:
+        """Lattice points lo <= hi with k > hi drawing x > t and k < lo x < t.
+
+        The exact draw g(k) strictly increases in k, and rounding moves it by
+        far less than e near t: log1p and the product round relative to
+        |t - mu|, the subtraction to |t|, a subnormal product by 2^-1075. So
+        [lo, hi] brackets g^-1(t -/+ e), padded beyond the rounding of g^-1
+        itself, whose relative error is below 2^-42 while exp does not flush.
+        """
+        e = 2.0**-38 * (abs(self.mu) + abs(t) + abs(t - self.mu)) + 2.0**-1060
+        lo = math.floor(self._lattice_point(t - e) * (1.0 - 2.0**-40)) - (1 << 14)
+        return lo, math.ceil(self._lattice_point(t + e) * (1.0 + 2.0**-40)) + (1 << 14)
+
+    def _lattice_point(self, y: float) -> float:
+        """g^-1(y) in [0, 2^53]: the real k whose exact draw is y."""
+        z = (y - self.mu) / self.b
+        return _U_HALF * math.exp(z) if z < 0.0 else _U_DENOM - _U_HALF * math.exp(-z)
 
     def mean_abs_dev(self, c: float) -> float:
         """E|Z - c| = |c - mu| + b e^(-|c - mu|/b); equals b exactly at c = mu.

@@ -7,8 +7,10 @@ thread pool. Chunk boundaries depend only on the trial count, never on the
 worker count, and per-chunk detection counts are integers, so aggregated
 reports are bit-identical no matter how the chunks are scheduled. Threads
 are sufficient for parallelism here because the bulk sampling work happens
-inside numpy. Each thread samples into one reused chunk buffer and counts
-detections into one reused mask; a chunk allocates only its random integers.
+inside numpy. Error-rate estimates count detections on the draws' integer
+lattice, transforming only the draws next to a threshold; the attack
+pipeline, which needs every release, samples into one reused chunk buffer
+and mask per thread.
 """
 
 from __future__ import annotations
@@ -117,33 +119,27 @@ def _half_width(p_hat: float, n: int) -> float:
 
 
 def _simulate(
-    sim: SimConfig, test: DetectionTest, draw, workers: int, keep: bool = False
+    sim: SimConfig, test: DetectionTest, count, workers: int
 ) -> tuple[SimReport, list, list]:
     """Run every chunk of both roles and score the detections.
 
-    ``draw(role, stream, out)`` fills the m-vector ``out`` (fresh if ``keep``,
-    else the thread's reused buffer) and returns a tuple of m-vectors whose
-    last entry is the residuals. Returns the report and, per role, each
-    chunk's tuple in chunk order when ``keep`` is set (else None).
+    ``count(role, stream, m, sides)`` draws a chunk's m residuals from
+    ``stream`` and returns how many satisfy f(z, t) for some (f, t) in
+    ``sides``, the strict comparisons with the region's finite ends, with
+    what to keep of the chunk (or None). Returns the report and, per role,
+    each chunk's kept value in chunk order.
     """
     if workers < 1:
         raise ValueError(f"need at least one worker, got workers={workers}")
     n = sim.n_trials
-    local = threading.local()
     # One strict comparison per finite end of the region; the ends are disjoint.
     ends = zip((np.less, np.greater), _region(test.direction, test.offset))
     sides = [(f, test.cfg.mu0 + t) for f, t in ends if math.isfinite(t)]
 
-    def run(task: tuple[int, int]) -> tuple[int, tuple | None]:
+    def run(task: tuple[int, int]) -> tuple[int, object]:
         role, c = task
         m = min(_CHUNK, n - c * _CHUNK)
-        if not hasattr(local, "mask"):
-            local.out, local.mask = np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
-        buf = np.empty(m) if keep else local.out[:m]
-        drawn = draw(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), buf)
-        mask = local.mask[:m]
-        hits = sum(int(np.count_nonzero(f(drawn[-1], t, out=mask))) for f, t in sides)
-        return hits, drawn if keep else None
+        return count(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), m, sides)
 
     tasks = [(role, c) for role in (0, 1) for c in range((n + _CHUNK - 1) // _CHUNK)]
     if workers > 1:
@@ -183,8 +179,7 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
     dists = hypothesis_pair(sim.cfg, sim.attack)
     report, _, _ = _simulate(
-        sim, test, lambda role, stream, out: (dists[role]._sample_into(stream, out),),
-        workers,
+        sim, test, lambda role, *chunk: (dists[role]._count(*chunk), None), workers
     )
     return report
 
@@ -217,14 +212,22 @@ def run_attack_experiment(
     test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
 
-    def draw(role: int, stream: RngStream, out: np.ndarray) -> tuple:
+    local = threading.local()
+
+    def count(role: int, stream: RngStream, m: int, sides) -> tuple:
+        if not hasattr(local, "mask"):
+            local.out, local.mask = np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
+        out = np.empty(m) if trace else local.out[:m]
         releases = np.add(q, noise[role]._sample_into(stream, out), out=out)
         if role == 1:
             np.add(releases, sim.attack.x_a, out=releases)
         # A kept chunk keeps its releases, so its residuals need their own array.
-        return releases, np.subtract(releases, q, out=None if trace else releases)
+        residuals = np.subtract(releases, q, out=None if trace else releases)
+        mask = local.mask[:m]
+        hits = sum(int(np.count_nonzero(f(residuals, t, out=mask))) for f, t in sides)
+        return hits, (releases, residuals) if trace else None
 
-    report, h0, h1 = _simulate(sim, test, draw, workers, keep=trace)
+    report, h0, h1 = _simulate(sim, test, count, workers)
     if not trace:
         return report
 

@@ -188,6 +188,29 @@ class TestArtifacts:
         assert code == 0
         assert len(path.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--eps-count", "0"], "nonempty"),
+            (["--eps-list="], "nonempty"),
+            (["--theta-list="], "nonempty"),
+            (["--dmu-over-s="], "nonempty"),
+            (["--eps-list", "nan"], "privacy parameter must be finite and > 0"),
+            (["--eps-list", "inf"], "privacy parameter must be finite and > 0"),
+            (["--theta-list", "nan"], "scale inflation must be finite and >= 1"),
+            (["--theta-list", "inf"], "scale inflation must be finite and >= 1"),
+            (["--s", "inf"], "sensitivity must be finite and > 0"),
+            (["--s", "nan"], "sensitivity must be finite and > 0"),
+        ],
+    )
+    def test_kl_sweep_empty_or_non_finite_grid_exits_three(self, capsys, tmp_path, args, message):
+        path = tmp_path / "kl.csv"
+        code, out, err = run(capsys, "kl-sweep", *args, "--out", str(path))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+        assert not path.exists()
+
 
 class TestSimulate:
     ARGS = (

@@ -215,6 +215,22 @@ class TestKlSweep:
         with pytest.raises(ValueError):
             kl_sweep(eps_grid=[1.0], thetas=[0.5], dmu_over_s=[1.0])
 
+    @pytest.mark.parametrize("axis", ["eps_grid", "thetas", "dmu_over_s"])
+    def test_empty_grid_rejected(self, axis):
+        grid = {"eps_grid": [1.0], "thetas": [1.0], "dmu_over_s": [1.0], axis: []}
+        with pytest.raises(ValueError, match="nonempty"):
+            kl_sweep(**grid)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize(
+        "axis, message",
+        [("eps_grid", "privacy parameter"), ("thetas", "scale inflation")],
+    )
+    def test_non_finite_grid_value_rejected_by_its_own_check(self, axis, message, value):
+        grid = {"eps_grid": [1.0], "thetas": [1.0], "dmu_over_s": [1.0], axis: [value]}
+        with pytest.raises(ValueError, match=message):
+            kl_sweep(**grid)
+
     def test_csv_emission(self):
         buf = io.StringIO()
         rows = kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[4.0])

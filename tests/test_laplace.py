@@ -196,6 +196,55 @@ class TestSampling:
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
 
 
+class TestLatticeCount:
+    """``_count`` counts detections on the integer lattice; it must equal the
+    count over the transformed draws exactly, ties and rounding included."""
+
+    @staticmethod
+    def _assert_exact(d: LaplaceDist, stream: RngStream, m: int, t: float) -> None:
+        x = d.sample(stream, m)
+        for f in (np.greater, np.less):
+            want = int(np.count_nonzero(f(x, t)))
+            assert d._count(stream, m, [(f, t)]) == want, (d, t, f)
+        # Both ends of a two-sided region in one call.
+        both = int(np.count_nonzero(x != t))
+        assert d._count(stream, m, [(np.less, t), (np.greater, t)]) == both
+
+    @staticmethod
+    def _thresholds(d: LaplaceDist, x: np.ndarray) -> list[float]:
+        return [x, np.nextafter(x, math.inf), np.nextafter(x, -math.inf), d.mu]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        mu=st.floats(0.0, 1e8),
+        negative=st.booleans(),
+        b=st.floats(1e-6, 1e6),
+        m=st.sampled_from([1, 1000, 65536]),
+        seed=st.integers(0, 2**63 - 1),
+        pick=st.integers(0, 3),
+        j=st.integers(0, 65535),
+    )
+    def test_equals_count_over_draws(self, mu, negative, b, m, seed, pick, j):
+        d = LaplaceDist(-mu if negative else mu, b)
+        stream = RngStream(seed, 9)
+        t = float(self._thresholds(d, d.sample(stream, m)[j % m])[pick])
+        self._assert_exact(d, stream, m, t)
+
+    @pytest.mark.parametrize(
+        "mu, b", [(0.0, 5e-324), (-2.5, 5e-324), (1e8, 1e-6), (-1e8, 1e-6)]
+    )
+    def test_exact_where_the_band_covers_the_lattice(self, mu, b):
+        # Rounding at these (mu, b) spans the noise scale, so every lattice
+        # point near mu is in the band and is transformed.
+        d = LaplaceDist(mu, b)
+        lo, hi = d._cuts(d.mu)
+        assert lo <= 1 and hi >= 2**53 - 1
+        stream = RngStream(31, 4)
+        x = d.sample(stream, 4096)
+        for t in self._thresholds(d, x[17]) + [float(x.max()), float(x.min())]:
+            self._assert_exact(d, stream, 4096, float(t))
+
+
 class TestMeanAbsDev:
     def test_at_location_equals_scale_exactly(self):
         assert LaplaceDist(0.0, 1.0).mean_abs_dev(0.0) == 1.0

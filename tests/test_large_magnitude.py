@@ -9,9 +9,20 @@ those at mu0 = 0.
 
 import math
 
+import numpy as np
 import pytest
 
-from lapdetect import AttackSpec, DetectionTest, MechanismConfig, TailDirection, kappa
+from lapdetect import (
+    AttackSpec,
+    DetectionTest,
+    MechanismConfig,
+    RngStream,
+    SimConfig,
+    TailDirection,
+    estimate_error_rates,
+    hypothesis_pair,
+    kappa,
+)
 from lapdetect.cli import main
 
 MU0 = [1e3, -1e3, 1e6, -1e6, 1e8, -1e8]
@@ -40,6 +51,57 @@ def test_calibration_size_power_kappa_match_mu0_zero(mu0, direction):
                     assert kappa(test, attack) == pytest.approx(
                         kappa(ref, attack), rel=1e-12, abs=1e-12
                     )
+
+
+def _assert_counts_match_draws(sim: SimConfig, workers: int) -> tuple[int, int]:
+    """estimate_error_rates counts equal a recount of the draws of
+    RngStream(seed, role << 48 | chunk), chunk by chunk of 2^16."""
+    with np.errstate(over="ignore"):
+        report = estimate_error_rates(sim, workers=workers)
+        test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
+        n, counts = sim.n_trials, []
+        for role, dist in enumerate(hypothesis_pair(sim.cfg, sim.attack)):
+            chunks = [(c, min(2**16, n - c * 2**16)) for c in range((n + 2**16 - 1) // 2**16)]
+            z = np.concatenate(
+                [dist.sample(RngStream(sim.seed, role << 48 | c), m) for c, m in chunks]
+            )
+            if sim.direction is TailDirection.LEFT:
+                counts.append(int(np.count_nonzero(z < test.k)))
+            else:
+                below = 0 if test.k2 is None else np.count_nonzero(z < test.k2)
+                counts.append(int(np.count_nonzero(z > test.k1) + below))
+    assert (report.alpha_hat, report.power_hat) == (counts[0] / n, counts[1] / n)
+    return counts[0], counts[1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("direction", list(TailDirection))
+def test_estimate_counts_exact_far_from_origin(workers, direction):
+    # At mu0 = 1e8 a draw's rounding spans many noise scales s = 1e-6, so the
+    # lattice counter must transform every draw.
+    cfg = MechanismConfig(s=1e-6, eps=1.0, theta=1.5, mu0=1e8)
+    attack = AttackSpec(-1e-6 if direction is TailDirection.LEFT else 1e-6)
+    sim = SimConfig(cfg, attack, 0.2, direction, 2 * 2**16 + 5, seed=515)
+    n0, n1 = _assert_counts_match_draws(sim, workers)
+    assert 0 < n0 < n1 < sim.n_trials
+
+
+@pytest.mark.parametrize(
+    "mu0, alpha, direction",
+    [
+        (1.7e308, 0.9, TailDirection.LEFT),
+        (-1.7e308, 0.9, TailDirection.RIGHT),
+        (-1.7e308, 0.3, TailDirection.TWO_SIDED),
+    ],
+)
+def test_estimate_counts_exact_when_a_threshold_overflows(mu0, alpha, direction):
+    # mu0 + offset rounds to -+inf here, and draws overflow as well.
+    cfg = MechanismConfig(s=1e307, eps=1.0, mu0=mu0)
+    sim = SimConfig(cfg, AttackSpec(0.0), alpha, direction, 3000, seed=8)
+    test = DetectionTest.from_alpha(alpha, cfg, direction)
+    assert math.isinf(test.k1 if test.k2 is None else test.k2)
+    n0, n1 = _assert_counts_match_draws(sim, workers=1)
+    assert 0 < n0 < sim.n_trials and 0 < n1 < sim.n_trials
 
 
 def _run(capsys, *argv):

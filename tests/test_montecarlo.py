@@ -232,8 +232,9 @@ class TestStreamKeying:
 
 
 class TestBufferedChunks:
-    """Untraced runs sample into per-thread buffers and count each end of the
-    region separately; traced runs keep fresh arrays. Both score the same."""
+    """Untraced attack runs sample into per-thread buffers, traced ones keep
+    fresh arrays, and estimates count on the lattice. Each scores the same
+    at any worker count."""
 
     N = 100_003  # not a multiple of the 2^16 chunk
     DATA = Dataset(records=(0.5, 0.25, 1.0), bound=1.0)
@@ -260,6 +261,22 @@ class TestBufferedChunks:
 
 
 class TestGrid:
+    @pytest.mark.parametrize("direction", list(TailDirection))
+    def test_lattice_band_stays_narrow_on_default_grid(self, direction):
+        # estimate_error_rates transforms only the lattice points between a
+        # threshold's cut-points; a band this narrow is hit about once in
+        # 2^14 chunks of 2^16 draws, so run_grid stays on the fast path.
+        worst = 0.0
+        for eps, theta, ratio, alpha in default_grid():
+            cfg = MechanismConfig(s=1.0, eps=eps, theta=theta)
+            test = DetectionTest.from_alpha(alpha, cfg, direction)
+            ends = [test.k1] if test.k2 is None else [test.k1, test.k2]
+            for dist in hypothesis_pair(cfg, AttackSpec(ratio)):
+                for t in ends:
+                    lo, hi = dist._cuts(t)
+                    worst = max(worst, (hi - lo) / 2**53)
+        assert 0.0 < worst <= 2.0**-30
+
     def test_default_grid_shape(self):
         grid = default_grid()
         assert len(grid) == 4 * 2 * 3 * 9
