@@ -2,13 +2,14 @@
 
 Cells are rendered by type: floats (and ints) at 17 significant digits,
 which round-trip every double, booleans as ``true``/``false``, and None as
-an empty cell. Targets are a path, opened and closed here, or an open text
-stream, which is left open.
+an empty cell. No cell, and no fixed header, holds a comma, quote or line
+break, so a line is its cells joined by commas plus ``\\n``, unquoted: the
+text ``csv.writer`` would write. Targets are a path, opened and closed here,
+or an open text stream, which is left open.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 from itertools import repeat
 from pathlib import Path
@@ -26,10 +27,12 @@ def _cell(value) -> str:
 
 
 def _column(values: tuple) -> list[str]:
-    # Formatting a whole all-float column with builtin map keeps the
+    # Rendering a whole all-float or all-None column in bulk keeps the
     # per-cell work out of Python frames; ROC curves are 4,000 cells each.
     if set(map(type, values)) == {float}:
         return list(map(format, values, repeat(".17g")))
+    if values.count(None) == len(values):
+        return [""] * len(values)
     return list(map(_cell, values))
 
 
@@ -50,7 +53,7 @@ def write_csv(
         with open(out, "a" if append else "w", newline="") as f:
             write_csv(f, header, rows, append)
         return
-    w = csv.writer(out, lineterminator="\n")
     if not append or not out.seekable() or out.tell() == 0:
-        w.writerow(header)
-    w.writerows(zip(*map(_column, zip(*rows))))
+        out.write(",".join(header) + "\n")
+    lines = map(",".join, zip(*map(_column, zip(*rows))))
+    out.writelines(map("{}\n".format, lines))

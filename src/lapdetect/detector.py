@@ -16,6 +16,7 @@ closed form; the test suite re-derives each one by adaptive quadrature.
 A critical region is held once, as its offset from mu0 in the units of z;
 calibration, sizes and powers work in the frame centred on mu0, where H0 =
 Lap(0, b0) and H1 = Lap(x_a, b1), so a large mu0 costs them no precision.
+An ROC curve builds H0 and H1 once and size-checks every point to 1e-12.
 """
 
 from __future__ import annotations
@@ -101,6 +102,21 @@ def _mass(dist: LaplaceDist, lo: float, hi: float) -> float:
     return dist.cdf(lo) + dist.survival(hi)
 
 
+def _checked_region(
+    h0: LaplaceDist, direction: TailDirection, alpha: float, offset: float
+) -> tuple[float, float]:
+    """``_region(direction, offset)``, once DetectionTest's invariants hold for it."""
+    if not math.isfinite(offset):
+        raise ValueError(f"threshold offset must be finite, got {offset}")
+    if offset < 0.0 and not direction.one_sided:
+        raise ValueError(f"two-sided half-width must be >= 0, got {offset}")
+    lo, hi = _region(direction, offset)
+    size = _mass(h0, lo, hi)
+    if abs(size - alpha) > _SIZE_ATOL:
+        raise ValueError(f"threshold(s) give size {size}, which is not alpha={alpha}")
+    return lo, hi
+
+
 def likelihood_ratio(
     z: float | np.ndarray, cfg: MechanismConfig, attack: AttackSpec
 ) -> float | np.ndarray:
@@ -137,15 +153,8 @@ class DetectionTest:
     offset: float
 
     def __post_init__(self):
-        if not math.isfinite(self.offset):
-            raise ValueError(f"threshold offset must be finite, got {self.offset}")
-        if self.offset < 0.0 and not self.direction.one_sided:
-            raise ValueError(f"two-sided half-width must be >= 0, got {self.offset}")
-        size = self.size()
-        if abs(size - self.alpha) > _SIZE_ATOL:
-            raise ValueError(
-                f"threshold(s) give size {size}, which is not alpha={self.alpha}"
-            )
+        h0 = LaplaceDist(0.0, self.cfg.b0)
+        _checked_region(h0, self.direction, self.alpha, self.offset)
 
     @classmethod
     def from_alpha(
@@ -257,14 +266,20 @@ def roc_curve(
 
     The default 999-point grid samples alpha = 0.001 ... 0.999; AUC is the
     trapezoid rule over the grid augmented with the limit endpoints (0,0)
-    and (1,1).
+    and (1,1). H0 and H1 are built once; each point is size-checked to 1e-12
+    and equals ``DetectionTest.from_alpha``'s threshold(s) and power.
     """
     if grid < 2:
         raise ValueError(f"ROC grid needs at least 2 points, got {grid}")
+    b0, mu0, one_sided = cfg.b0, cfg.mu0, direction.one_sided
+    h0, h1 = LaplaceDist(0.0, b0), LaplaceDist(attack.x_a, cfg.b1)
     points = []
     for i in range(1, grid + 1):
-        test = DetectionTest.from_alpha(i / (grid + 1), cfg, direction)
-        points.append(RocPoint(test.alpha, test.k1, test.k2, test.power(attack)))
+        alpha = i / (grid + 1)
+        offset = _calibrate(alpha, b0, direction)
+        lo, hi = _checked_region(h0, direction, alpha, offset)
+        k2 = None if one_sided else mu0 - offset
+        points.append(RocPoint(alpha, mu0 + offset, k2, _mass(h1, lo, hi)))
     xs = [0.0, *(p.alpha for p in points), 1.0]
     ys = [0.0, *(p.power for p in points), 1.0]
     auc = math.fsum(

@@ -155,6 +155,8 @@ def kl_sweep(
     """
     if not 0.0 < s < math.inf:
         raise ValueError(f"sensitivity must be finite and > 0, got s={s}")
+    if not abs(mu0) < math.inf:
+        raise ValueError(f"null location must be finite, got mu0={mu0}")
     if not (len(eps_grid) and len(thetas) and len(dmu_over_s)):
         raise ValueError("eps_grid, thetas and dmu_over_s must each be nonempty")
     rows = []
@@ -162,12 +164,17 @@ def kl_sweep(
         if not 1.0 <= theta < math.inf:
             raise ValueError(f"scale inflation must be finite and >= 1, got theta={theta}")
         for ratio in dmu_over_s:
+            if not abs(ratio) < math.inf:
+                raise ValueError(f"bias ratio must be finite, got dmu_over_s={ratio}")
+            mu1 = mu0 + ratio * s
+            if not abs(mu1) < math.inf:
+                raise ValueError(f"attack location mu0 + dmu_over_s*s overflows, got {mu1}")
             for eps in eps_grid:
                 if not 0.0 < eps < math.inf:
                     raise ValueError(f"privacy parameter must be finite and > 0, got {eps}")
                 b0 = s / eps
                 p0 = LaplaceDist(mu0, b0)
-                p1 = LaplaceDist(mu0 + ratio * s, theta * b0)
+                p1 = LaplaceDist(mu1, theta * b0)
                 d = kl_laplace(p0, p1)
                 bound = math.exp(eps)
                 rows.append(

@@ -201,6 +201,12 @@ class TestArtifacts:
             (["--theta-list", "inf"], "scale inflation must be finite and >= 1"),
             (["--s", "inf"], "sensitivity must be finite and > 0"),
             (["--s", "nan"], "sensitivity must be finite and > 0"),
+            (["--mu0", "nan"], "null location must be finite, got mu0=nan"),
+            (["--dmu-over-s", "nan"], "bias ratio must be finite, got dmu_over_s=nan"),
+            (
+                ["--mu0", "1e308", "--dmu-over-s", "1e10", "--s", "1e300"],
+                "attack location mu0 + dmu_over_s*s overflows, got inf",
+            ),
         ],
     )
     def test_kl_sweep_empty_or_non_finite_grid_exits_three(self, capsys, tmp_path, args, message):
@@ -209,6 +215,7 @@ class TestArtifacts:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and message in err
+        assert err.count("\n") == 1
         assert not path.exists()
 
 

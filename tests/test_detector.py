@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lapdetect import (
     AttackSpec,
@@ -20,6 +22,7 @@ from lapdetect import (
     TailDirection,
     bias_interval,
     decide,
+    detector,
     hypothesis_pair,
     kappa,
     likelihood_ratio,
@@ -433,6 +436,37 @@ class TestRocCurve:
         assert len(curve.points) == 999
         assert curve.points[0].alpha == pytest.approx(0.001)
         assert curve.points[-1].alpha == pytest.approx(0.999)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        mu0=st.floats(0.0, 1e8) | st.floats(-1e8, 0.0),
+        s=st.floats(1e-3, 1e3),
+        eps=st.floats(0.01, 5.0),
+        theta=st.floats(1.0, 3.0),
+        x_a=st.floats(1e-3, 10.0) | st.floats(-10.0, -1e-3),
+        direction=st.sampled_from(list(TailDirection)),
+        grid=st.sampled_from([2, 99, 999]),
+    )
+    def test_points_equal_detection_test_bit_for_bit(
+        self, mu0, s, eps, theta, x_a, direction, grid
+    ):
+        cfg = MechanismConfig(s=s, eps=eps, theta=theta, mu0=mu0)
+        attack = AttackSpec(x_a)
+        curve = roc_curve(cfg, attack, direction, grid)
+        assert len(curve.points) == grid
+        for i, p in enumerate(curve.points, start=1):
+            t = DetectionTest.from_alpha(i / (grid + 1), cfg, direction)
+            assert (p.alpha, p.k1, p.k2, p.power) == (t.alpha, t.k1, t.k2, t.power(attack))
+
+    @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
+    def test_every_point_is_size_checked(self, monkeypatch, direction):
+        # No size can lie within a negative tolerance of alpha, so each
+        # place that runs the self-check must now reject.
+        monkeypatch.setattr(detector, "_SIZE_ATOL", -1.0)
+        with pytest.raises(ValueError, match="is not alpha"):
+            roc_curve(UNIT, AttackSpec(1.0), direction, grid=9)
+        with pytest.raises(ValueError, match="is not alpha"):
+            DetectionTest.from_alpha(0.1, UNIT, direction)
 
 
 class TestBiasInterval:

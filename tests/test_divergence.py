@@ -224,12 +224,26 @@ class TestKlSweep:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     @pytest.mark.parametrize(
         "axis, message",
-        [("eps_grid", "privacy parameter"), ("thetas", "scale inflation")],
+        [
+            ("eps_grid", "privacy parameter"),
+            ("thetas", "scale inflation"),
+            ("dmu_over_s", "bias ratio must be finite, got dmu_over_s="),
+        ],
     )
     def test_non_finite_grid_value_rejected_by_its_own_check(self, axis, message, value):
         grid = {"eps_grid": [1.0], "thetas": [1.0], "dmu_over_s": [1.0], axis: [value]}
         with pytest.raises(ValueError, match=message):
             kl_sweep(**grid)
+
+    @pytest.mark.parametrize("mu0", [math.nan, math.inf, -math.inf])
+    def test_non_finite_null_location_names_mu0(self, mu0):
+        with pytest.raises(ValueError, match="null location must be finite, got mu0="):
+            kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1.0], mu0=mu0)
+
+    def test_overflowing_attack_location_names_the_shift(self):
+        # 1e308 + 1e10 * 1e300 rounds to inf although every input is finite.
+        with pytest.raises(ValueError, match=r"mu0 \+ dmu_over_s\*s overflows, got inf"):
+            kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1e10], s=1e300, mu0=1e308)
 
     def test_csv_emission(self):
         buf = io.StringIO()
