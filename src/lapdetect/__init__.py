@@ -7,24 +7,27 @@ divergence accounting against the e^eps admissibility bound, and Monte
 Carlo validation of every closed form.
 
 The public surface is each module's ``__all__``, re-exported here.
+``montecarlo``, the one module that imports numpy, loads on first use.
 """
 
-from . import detector, divergence, laplace, mechanism, montecarlo, quadrature
+import importlib
+
+from . import detector, divergence, laplace, mechanism, quadrature
 from .detector import *  # noqa: F403
 from .divergence import *  # noqa: F403
 from .laplace import *  # noqa: F403
 from .mechanism import *  # noqa: F403
-from .montecarlo import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
 __version__ = "0.2.0"
 
-__all__ = [
-    *detector.__all__,
-    *divergence.__all__,
-    *laplace.__all__,
-    *mechanism.__all__,
-    *montecarlo.__all__,
-    *quadrature.__all__,
-    "__version__",
-]
+
+def __getattr__(name: str):
+    # PEP 562 hook; ``from . import montecarlo`` here would re-enter it.
+    montecarlo = importlib.import_module(f"{__name__}.montecarlo")
+    if name == "__all__":
+        mods = (detector, divergence, laplace, mechanism, montecarlo, quadrature)
+        return [n for mod in mods for n in mod.__all__] + ["__version__"]
+    if name in ("montecarlo", *montecarlo.__all__):
+        return montecarlo if name == "montecarlo" else getattr(montecarlo, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -11,17 +11,17 @@ or an open text stream, which is left open.
 from __future__ import annotations
 
 import io
+import sys
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
-
-import numpy as np
 
 
 def _cell(value) -> str:
     if value is None:
         return ""
-    if isinstance(value, (bool, np.bool_)):
+    np = sys.modules.get("numpy")  # a numpy bool exists only once numpy has loaded
+    if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         return "true" if value else "false"
     return format(value, ".17g")
 

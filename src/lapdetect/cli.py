@@ -19,14 +19,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
-
-from . import detector, divergence, mechanism, montecarlo
+from . import detector, divergence, mechanism
 from .detector import DetectionTest, TailDirection
 from .mechanism import AttackSpec, MechanismConfig
 from .quadrature import QuadratureError
@@ -202,8 +201,9 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> int:
     if args.eps_list is not None:
         eps_grid = _float_list(args.eps_list)
     else:
-        if not np.isfinite([args.eps_start, args.eps_stop]).all():
+        if not (math.isfinite(args.eps_start) and math.isfinite(args.eps_stop)):
             raise ValueError("--eps-start and --eps-stop must be finite")
+        import numpy as np  # the default grid is np.linspace's, to the last bit
         eps_grid = np.linspace(args.eps_start, args.eps_stop, args.eps_count).tolist()
     rows = divergence.kl_sweep(
         eps_grid=eps_grid,
@@ -219,6 +219,7 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from . import montecarlo  # imports numpy, which no other subcommand needs
     if args.sweep:
         rows = montecarlo.run_grid(
             s=args.s,

@@ -27,12 +27,14 @@ from dataclasses import dataclass
 from enum import Enum
 from operator import attrgetter
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import _csv
 from .laplace import LaplaceDist
 from .mechanism import AttackSpec, MechanismConfig, hypothesis_pair
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TailDirection",
@@ -133,6 +135,7 @@ def likelihood_ratio(
             return math.exp(abs(z - h0.mu) / h0.b - abs(z - h1.mu) / h1.b) / cfg.theta
         except OverflowError:
             return math.inf
+    import numpy as np
     z = np.asarray(z, dtype=float)
     return np.exp(np.abs(z - h0.mu) / h0.b - np.abs(z - h1.mu) / h1.b) / cfg.theta
 

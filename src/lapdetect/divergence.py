@@ -44,6 +44,9 @@ __all__ = [
 # the error estimate into accepting a stretch it has not resolved.
 _LADDER_STEPS = (1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.5, 13.5, 17.0, 21.0, 26.0, 31.0, 36.0, 40.0)
 
+# The keys of a kl_sweep row, in the order its CSV writes them.
+_SWEEP_HEADER = ["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"]
+
 
 @dataclass(frozen=True)
 class KlReport:
@@ -175,22 +178,12 @@ def kl_sweep(
                 b0 = s / eps
                 p0 = LaplaceDist(mu0, b0)
                 p1 = LaplaceDist(mu1, theta * b0)
-                d = kl_laplace(p0, p1)
-                bound = math.exp(eps)
-                rows.append(
-                    {
-                        "epsilon": eps,
-                        "theta": theta,
-                        "dmu_over_s": ratio,
-                        "kl": d,
-                        "bound": bound,
-                        "violated": d > bound,
-                    }
-                )
+                d, bound = kl_laplace(p0, p1), math.exp(eps)
+                row = (eps, theta, ratio, d, bound, d > bound)
+                rows.append(dict(zip(_SWEEP_HEADER, row)))
     return rows
 
 
 def write_kl_sweep_csv(rows: Sequence[dict], out: str | Path | io.TextIOBase) -> None:
     """Emit ``epsilon,theta,dmu_over_s,kl,bound,violated`` rows (17 sig digits)."""
-    header = ["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"]
-    _csv.write_csv(out, header, map(itemgetter(*header), rows))
+    _csv.write_csv(out, _SWEEP_HEADER, map(itemgetter(*_SWEEP_HEADER), rows))

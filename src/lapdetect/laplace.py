@@ -5,14 +5,17 @@ probabilities, KL divergence) reduces to evaluating one Laplace density,
 its tails, or its quantiles, so those primitives live here in closed form.
 Tail probabilities are computed directly in the exponential branch rather
 than via ``1 - cdf`` so that small masses keep full relative precision.
+The array and sampling paths import numpy when they are called.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["LaplaceDist", "RngStream"]
 
@@ -38,6 +41,7 @@ class RngStream:
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
+        import numpy as np
         # Mask to 64-bit words: SeedSequence rejects negative entropy.
         key = (self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF)
         return np.random.default_rng(np.random.SeedSequence(key))
@@ -73,6 +77,7 @@ class LaplaceDist:
         """Density at ``z``; strictly positive and symmetric about mu."""
         if isinstance(z, (float, int)):
             return math.exp(-abs(z - self.mu) / self.b) / (2.0 * self.b)
+        import numpy as np
         z = np.asarray(z, dtype=float)
         return np.exp(-np.abs(z - self.mu) / self.b) / (2.0 * self.b)
 
@@ -81,6 +86,7 @@ class LaplaceDist:
         if isinstance(z, (float, int)):
             t = 0.5 * math.exp(-abs(z - self.mu) / self.b)
             return t if z < self.mu else 1.0 - t
+        import numpy as np
         z = np.asarray(z, dtype=float)
         t = 0.5 * np.exp(-np.abs(z - self.mu) / self.b)
         return np.where(z < self.mu, t, 1.0 - t)
@@ -94,6 +100,7 @@ class LaplaceDist:
         if isinstance(z, (float, int)):
             t = 0.5 * math.exp(-abs(z - self.mu) / self.b)
             return t if z > self.mu else 1.0 - t
+        import numpy as np
         z = np.asarray(z, dtype=float)
         t = 0.5 * np.exp(-np.abs(z - self.mu) / self.b)
         return np.where(z > self.mu, t, 1.0 - t)
@@ -120,6 +127,7 @@ class LaplaceDist:
         """
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
+        import numpy as np
         return self._sample_into(rng, np.empty(n))
 
     def _sample_into(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
@@ -133,6 +141,7 @@ class LaplaceDist:
         the draws match it bit for bit. log1p's argument is exact on the
         lattice k/2^53; b sign(q) overwrites the int64 lattice points ``k``.
         """
+        import numpy as np
         q = np.subtract(np.multiply(k, _U_SCALE, out=out), 0.5, out=out)
         sb = np.sign(q, out=k.view(np.float64))
         np.multiply(sb, self.b, out=sb)
@@ -145,6 +154,7 @@ class LaplaceDist:
         f is np.less or np.greater. Lattice points outside ``_cuts(t)``, or
         none if t overflowed, are counted by comparison; the rest transformed.
         """
+        import numpy as np
         k = rng.generator().integers(1, _U_DENOM, size=m)
         hits = 0
         for f, t in sides:

@@ -19,10 +19,12 @@ import csv
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .laplace import LaplaceDist, RngStream
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "MechanismConfig",

@@ -118,6 +118,16 @@ def _half_width(p_hat: float, n: int) -> float:
     return 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
+def _check_reach(noise: Sequence[LaplaceDist], q: float = 0.0, x_a: float = 0.0) -> None:
+    """Raise unless the extreme draws mu -+ 52 ln 2 b of ``noise`` (H0, H1)
+    give finite releases q + draw (+ x_a under H1) and residuals release - q."""
+    r = 52.0 * math.log(2.0)  # -log1p(-2|k/2^53 - 1/2|) at k = 1 and 2^53 - 1
+    for d, shift in zip(noise, (0.0, x_a)):
+        for x in (d.mu - r * d.b, d.mu + r * d.b):
+            if not math.isfinite(q + x + shift - q):
+                raise ValueError(f"draws of {d} overflow the float range")
+
+
 def _simulate(
     sim: SimConfig, test: DetectionTest, count, workers: int
 ) -> tuple[SimReport, list, list]:
@@ -178,6 +188,7 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     """
     test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
     dists = hypothesis_pair(sim.cfg, sim.attack)
+    _check_reach(dists)
     report, _, _ = _simulate(
         sim, test, lambda role, *chunk: (dists[role]._count(*chunk), None), workers
     )
@@ -211,6 +222,7 @@ def run_attack_experiment(
     q = sum_query(data)
     test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
+    _check_reach(noise, q, sim.attack.x_a)
 
     local = threading.local()
 
@@ -276,19 +288,9 @@ def run_grid(
             n_trials=n_trials,
             seed=cell_seed,
         )
-        report = estimate_error_rates(sim, workers=workers)
-        rows.append(
-            {
-                "eps": eps,
-                "theta": theta,
-                "dmu": ratio * s,
-                "alpha": alpha,
-                "alpha_hat": report.alpha_hat,
-                "power": report.power_closed,
-                "power_hat": report.power_hat,
-                "pass": report.passed,
-            }
-        )
+        r = estimate_error_rates(sim, workers=workers)
+        row = (eps, theta, ratio * s, alpha, r.alpha_hat, r.power_closed, r.power_hat)
+        rows.append(dict(zip(GRID_CSV_HEADER.split(","), (*row, r.passed))))
     return rows
 
 

@@ -7,14 +7,18 @@ the size self-check must hold at every magnitude. The reference values are
 those at mu0 = 0.
 """
 
+import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from lapdetect import (
     AttackSpec,
+    Dataset,
     DetectionTest,
+    LaplaceDist,
     MechanismConfig,
     RngStream,
     SimConfig,
@@ -22,6 +26,8 @@ from lapdetect import (
     estimate_error_rates,
     hypothesis_pair,
     kappa,
+    montecarlo,
+    run_attack_experiment,
 )
 from lapdetect.cli import main
 
@@ -87,6 +93,28 @@ def test_estimate_counts_exact_far_from_origin(workers, direction):
 
 
 @pytest.mark.parametrize(
+    "mu0, direction",
+    [
+        (1.7e308, TailDirection.RIGHT),
+        (-1.7e308, TailDirection.LEFT),
+        (-1.7e308, TailDirection.TWO_SIDED),
+    ],
+)
+def test_estimate_counts_exact_when_a_threshold_overflows(mu0, direction):
+    # At alpha = 1e-100 the offset is 230 b0, so mu0 + offset rounds to -+inf,
+    # while every draw, within 52 ln 2 b0 = 36.04 b0 of its location, is finite.
+    # H1 sits at the finite end of the two-sided region, 230 b0 toward 0 from mu0.
+    cfg = MechanismConfig(s=1e305, eps=1.0, mu0=mu0)
+    attack = AttackSpec(-math.copysign(230.26 * cfg.b0, mu0))
+    sim = SimConfig(cfg, attack, 1e-100, direction, 3000, seed=8)
+    test = DetectionTest.from_alpha(sim.alpha, cfg, direction)
+    assert math.isinf(test.k1 if test.k2 is None else test.k2)
+    n0, n1 = _assert_counts_match_draws(sim, workers=1)
+    assert n0 == 0
+    assert (0 < n1 < sim.n_trials) == (direction is TailDirection.TWO_SIDED)
+
+
+@pytest.mark.parametrize(
     "mu0, alpha, direction",
     [
         (1.7e308, 0.9, TailDirection.LEFT),
@@ -94,14 +122,58 @@ def test_estimate_counts_exact_far_from_origin(workers, direction):
         (-1.7e308, 0.3, TailDirection.TWO_SIDED),
     ],
 )
-def test_estimate_counts_exact_when_a_threshold_overflows(mu0, alpha, direction):
-    # mu0 + offset rounds to -+inf here, and draws overflow as well.
+def test_estimate_rejects_draws_that_overflow(mu0, alpha, direction):
+    # 36.04 b0 = 3.6e308 from mu0 the farthest draws round to -+inf, and a
+    # threshold that rounds there too would miscount them.
     cfg = MechanismConfig(s=1e307, eps=1.0, mu0=mu0)
     sim = SimConfig(cfg, AttackSpec(0.0), alpha, direction, 3000, seed=8)
-    test = DetectionTest.from_alpha(alpha, cfg, direction)
-    assert math.isinf(test.k1 if test.k2 is None else test.k2)
-    n0, n1 = _assert_counts_match_draws(sim, workers=1)
-    assert 0 < n0 < sim.n_trials and 0 < n1 < sim.n_trials
+    with pytest.raises(ValueError, match="overflow the float range"):
+        estimate_error_rates(sim)
+
+
+def test_reach_check_agrees_with_the_extreme_draws():
+    # The check raises exactly when a draw at lattice point 1 or 2^53 - 1 overflows.
+    mu0 = -1.7e308
+    edge = (np.finfo(float).max + mu0) / (52 * math.log(2))
+    outcomes = set()
+    for b in edge * (1.0 + np.arange(-40, 41) * 2.0**-52):
+        dist = LaplaceDist(mu0, float(b))
+        with np.errstate(over="ignore"):
+            draws = dist._transform(np.array([1, 2**53 - 1]), np.empty(2))
+        try:
+            montecarlo._check_reach((dist, dist))
+            raised = False
+        except ValueError:
+            raised = True
+        assert raised == (not np.isfinite(draws).all()), b
+        outcomes.add(raised)
+    assert outcomes == {False, True}
+
+
+def test_attack_rejects_releases_that_overflow():
+    # The residual draws are finite, but q + draw + x_a is not.
+    data = Dataset(records=(1e307,) * 17, bound=1e307)
+    cfg = MechanismConfig(s=1e307, eps=1e10)
+    sim = SimConfig(cfg, AttackSpec(1e307), 0.1, TailDirection.RIGHT, 1000, seed=1)
+    assert estimate_error_rates(sim).passed
+    with pytest.raises(ValueError, match="overflow the float range"):
+        run_attack_experiment(data, sim)
+
+
+def test_simulate_with_overflowing_draws_exits_three(capsys):
+    argv = ["simulate", "--alpha", "0.9", "--dmu", "0", "--mu0=-1.7e308", "--samples", "1000"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = _run(capsys, *argv, "--s", "1e307")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: draws of LaplaceDist(mu=-1.7e+308, b=1e+307) overflow the float range\n"
+        )
+        # Just inside the range: draws reach -1.7e308 - 36.04 * 2.5e305 = -1.79e308.
+        code, out, err = _run(capsys, *argv, "--s", "2.5e305")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["alpha_closed"] == pytest.approx(0.9) and report["pass"] is True
 
 
 def _run(capsys, *argv):

@@ -1,0 +1,73 @@
+"""numpy stays off the start-up path of the closed-form CLI subcommands.
+
+``lapdetect`` loads ``montecarlo``, the one module that imports numpy, on
+first use, and the other modules import numpy only inside their array and
+sampling paths. The guard runs in a fresh interpreter, because the test
+process has numpy loaded already.
+"""
+
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import lapdetect
+from lapdetect import _csv, montecarlo
+
+GUARD = """
+import sys
+
+import lapdetect
+import lapdetect.cli
+
+out = sys.argv[1]
+for argv in (
+    ["threshold", "--alpha", "0.1", "--dmu", "1"],
+    ["threshold", "--alpha", "0.05", "--tail", "two-sided"],
+    ["power", "--alpha", "0.1", "--dmu", "1"],
+    ["interval", "--alpha", "0.05", "--beta-bar", "0.8"],
+    ["kl", "--dmu", "4"],
+    ["roc", "--dmu", "1", "--grid", "99", "--out", out + "/roc.csv"],
+    ["kl-sweep", "--eps-list", "0.1,0.5,1", "--out", out + "/kl_sweep.csv"],
+):
+    assert lapdetect.cli.main(argv) == 0, argv
+    assert "numpy" not in sys.modules, argv
+assert lapdetect.cli.main(["simulate", "--dmu", "1", "--samples", "100"]) == 0
+assert "numpy" in sys.modules, "simulate"
+"""
+
+
+def test_closed_form_subcommands_start_without_numpy(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD, str(tmp_path)],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_numpy_bools_render_as_flags():
+    buf = io.StringIO()
+    _csv.write_csv(buf, ["flag", "x"], [(np.True_, 1.5), (np.False_, None)])
+    assert buf.getvalue() == "flag,x\ntrue,1.5\nfalse,\n"
+
+
+def test_star_import_binds_the_lazy_names():
+    namespace = {}
+    exec("from lapdetect import *", namespace)
+    assert namespace["run_grid"] is montecarlo.run_grid
+    assert namespace["GRID_CSV_HEADER"] == montecarlo.GRID_CSV_HEADER
+
+
+def test_lazy_module_is_the_imported_one():
+    assert lapdetect.montecarlo is sys.modules["lapdetect.montecarlo"]
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        lapdetect.no_such_name
