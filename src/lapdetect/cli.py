@@ -241,6 +241,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         n_trials=args.samples,
         seed=args.seed,
     )
+    montecarlo._check_resolution(sim)
     if args.data is not None:
         if args.bound is None:
             raise ValueError("--bound is required with --data")

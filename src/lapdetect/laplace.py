@@ -24,6 +24,9 @@ __all__ = ["LaplaceDist", "RngStream"]
 _U_DENOM = 1 << 53
 _U_SCALE = 2.0**-53
 _U_HALF = float(1 << 52)  # the lattice point of q = 0, where draws equal mu
+# -log1p(-2|k/2^53 - 1/2|) at k = 1 and 2^53 - 1: no draw lies farther than
+# this many scales from mu.
+_REACH = 52.0 * math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -127,8 +130,20 @@ class LaplaceDist:
         """
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
+        self._reach()
         import numpy as np
         return self._sample_into(rng, np.empty(n))
+
+    def _reach(self) -> tuple[float, float]:
+        """The extreme draws mu -+ 52 ln 2 b, those of lattice points 1 and 2^53 - 1.
+
+        Raises:
+            ValueError: If either leaves the float range.
+        """
+        lo, hi = self.mu - _REACH * self.b, self.mu + _REACH * self.b
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"draws of {self} overflow the float range")
+        return lo, hi
 
     def _sample_into(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
         """Fill float64 ``out`` with the next ``out.size`` draws of ``rng``."""

@@ -29,7 +29,7 @@ import numpy as np
 
 from . import _csv
 from .detector import DetectionTest, TailDirection, _detected, _region
-from .laplace import LaplaceDist, RngStream
+from .laplace import _REACH, LaplaceDist, RngStream
 from .mechanism import (
     AttackSpec,
     Dataset,
@@ -119,13 +119,29 @@ def _half_width(p_hat: float, n: int) -> float:
 
 
 def _check_reach(noise: Sequence[LaplaceDist], q: float = 0.0, x_a: float = 0.0) -> None:
-    """Raise unless the extreme draws mu -+ 52 ln 2 b of ``noise`` (H0, H1)
+    """Raise unless the extreme draws of ``noise`` (H0, H1) are finite and
     give finite releases q + draw (+ x_a under H1) and residuals release - q."""
-    r = 52.0 * math.log(2.0)  # -log1p(-2|k/2^53 - 1/2|) at k = 1 and 2^53 - 1
     for d, shift in zip(noise, (0.0, x_a)):
-        for x in (d.mu - r * d.b, d.mu + r * d.b):
+        for x in d._reach():
             if not math.isfinite(q + x + shift - q):
                 raise ValueError(f"draws of {d} overflow the float range")
+
+
+def _check_resolution(sim: SimConfig) -> None:
+    """Raise unless some draw under H0 can fall in the critical region.
+
+    No draw lies beyond the extreme ones, mu0 -+ 52 ln 2 b0 (about 36.04 b0),
+    so a region beyond them (alpha below about 2^-53 per tail) has sampled
+    mass 0 and alpha_hat would read 0 whatever the sample size.
+    """
+    test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
+    lo, hi = _region(test.direction, test.offset)
+    first, last = sim.cfg.null_dist()._reach()
+    if not (first < sim.cfg.mu0 + lo or last > sim.cfg.mu0 + hi):
+        raise ValueError(
+            f"alpha={sim.alpha} is below the sampler's resolution: no draw under H0 "
+            f"lies beyond 52 ln 2 b0 = {_REACH * sim.cfg.b0:.6g} from mu0"
+        )
 
 
 def _simulate(

@@ -7,11 +7,13 @@ The integrands here are smooth except at isolated kinks (distribution
 locations, comparison points), so callers pass those as breakpoints and
 each smooth piece is integrated independently. :func:`adaptive_simpson`
 is the general oracle. ``_gauss_kronrod`` applies a G10-K21 rule to the
-same pieces; on the exponential integrands of
-:func:`lapdetect.divergence.kl_quadrature` it meets any tol down to 1e-10
-with two panels per piece, where Simpson's panel count grows as tol
-shrinks, and it does its loop bookkeeping once per 21 evaluations, not
-once per 2.
+same pieces. :func:`lapdetect.divergence.kl_quadrature` cuts its range so
+that each piece near the mass is at most 5 decay lengths long and has no
+kink inside, so the integrand there is exp(linear) times linear; when
+the locations are a few decay lengths apart, one 21-point panel per
+piece meets tol 4e-9 and 1e-10 alike, where Simpson's panel count grows
+as tol shrinks, and the loop bookkeeping runs once per 21 evaluations,
+not once per 2.
 """
 
 from __future__ import annotations
@@ -146,23 +148,21 @@ def _gauss_kronrod(
 ) -> float:
     """G10-K21 counterpart of :func:`adaptive_simpson`, for ``a < b``.
 
-    Same pieces and tolerance shares: each piece gets tol / pieces, each
-    half of a split panel half of its panel's share. Each piece starts as
-    two panels, so no error estimate is trusted over a whole piece; Simpson's
-    ``_SIMPSON_MIN_DEPTH`` guards the same way. A panel is accepted once
-    |K21 - G10|, which bounds the K21 error on a smooth panel, is within its
-    share; the result sums the accepted K21 values. Each panel costs 21
-    evaluations.
+    Same pieces and tolerance shares: each piece starts as one panel with
+    tol / pieces, each half of a split panel gets half of its panel's share.
+    A panel is accepted once |K21 - G10|, which bounds the K21 error on a
+    smooth panel, is within its share; the result sums the accepted K21
+    values. Each panel costs 21 evaluations. Unlike Simpson's
+    ``_SIMPSON_MIN_DEPTH``, nothing forces a split: the estimate is trusted
+    over a whole piece, so callers must cut pieces short enough for the
+    integrand's scale (``kl_quadrature`` keeps them within 5 decay lengths).
 
     Raises:
         QuadratureError: After more than ``_K21_MAX_PANELS`` panels.
     """
     pts = sorted({float(a), float(b), *(float(p) for p in breakpoints if a < p < b)})
-    half_tol = 0.5 * tol / (len(pts) - 1)
-    stack = []
-    for lo, hi in zip(pts[:-1], pts[1:]):
-        mid = 0.5 * (lo + hi)
-        stack += [(lo, mid, half_tol), (mid, hi, half_tol)]
+    piece_tol = tol / (len(pts) - 1)
+    stack = [(lo, hi, piece_tol) for lo, hi in zip(pts[:-1], pts[1:])]
     total = 0.0
     err_bound = 0.0
     panels = 0

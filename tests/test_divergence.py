@@ -14,7 +14,9 @@ from lapdetect import (
     kl_quadrature,
     kl_sweep,
     write_kl_sweep_csv,
+    divergence,
 )
+from lapdetect.quadrature import _gauss_kronrod
 
 import io
 
@@ -143,19 +145,56 @@ class TestKlQuadrature:
             kl_quadrature(d, d, tol=tol)
 
     @pytest.mark.parametrize(
-        "p1, tol",
+        "p0, p1, tol",
         [
-            (LaplaceDist(-15.564, 0.6417), 4e-9),
-            (LaplaceDist(1000.0, 1.0), 1e-10),
-            (LaplaceDist(2000.0, 1.0), 1e-10),
+            (LaplaceDist(0.0, 1.0), LaplaceDist(-15.564, 0.6417), 4e-9),
+            (LaplaceDist(0.0, 1.0), LaplaceDist(1000.0, 1.0), 1e-10),
+            (LaplaceDist(0.0, 1.0), LaplaceDist(2000.0, 1.0), 1e-10),
+            (LaplaceDist(0.0, 1.0), LaplaceDist(-7.978, 2.631), 4e-9),
+            (LaplaceDist(0.0, 1.0), LaplaceDist(-26.77, 19.08), 4e-9),
+            (LaplaceDist(2.765, 2.273), LaplaceDist(-66.18, 2.751), 4e-9),
         ],
-        ids=["sep-16", "sep-1000", "sep-2000"],
+        ids=["sep-16", "sep-1000", "sep-2000", "sep-8", "sep-27", "sep-30"],
     )
-    def test_far_apart_locations_meet_tol(self, p1, tol):
+    def test_far_apart_locations_meet_tol(self, p0, p1, tol):
         # The stretch between the locations is cut like the tails, so a
-        # long panel there cannot pass on a vanishing error estimate.
-        p0 = LaplaceDist(0.0, 1.0)
+        # long panel there cannot pass on a vanishing error estimate. The
+        # last three pairs lie in the narrow b1/b0 bands where one such
+        # panel would miss tol 4e-9 by up to 160x.
         assert abs(kl_quadrature(p0, p1, tol) - kl_laplace(p0, p1)) <= tol
+
+    def test_separation_by_scale_ratio_grid_meets_tol(self):
+        p0 = LaplaceDist(0.0, 1.0)
+        for sep in np.linspace(2.0, 36.0, 44):
+            for ratio in np.geomspace(0.04, 25.0, 50):
+                p1 = LaplaceDist(-float(sep), float(ratio))
+                err = abs(kl_quadrature(p0, p1, 4e-9) - kl_laplace(p0, p1))
+                assert err <= 4e-9, (sep, ratio, err)
+
+    @pytest.mark.parametrize("tol", [4e-9, 1e-10])
+    def test_one_panel_per_ladder_piece(self, monkeypatch, tol):
+        # Each ladder piece is kink-free and at most 5 b0 long, so no panel
+        # is split: 21 evaluations on each of the 30 pieces.
+        seen = []
+
+        def counting(f, a, b, tol, *, breakpoints):
+            calls = [0]
+
+            def g(z):
+                calls[0] += 1
+                return f(z)
+
+            value = _gauss_kronrod(g, a, b, tol, breakpoints=breakpoints)
+            pieces = len({a, b, *(p for p in breakpoints if a < p < b)}) - 1
+            seen.append((calls[0], pieces))
+            return value
+
+        monkeypatch.setattr(divergence, "_gauss_kronrod", counting)
+        rng = np.random.default_rng(808)
+        for _ in range(200):
+            mu, b = rng.uniform(-5.0, 5.0, 2), rng.uniform(0.2, 5.0, 2)
+            kl_quadrature(LaplaceDist(mu[0], b[0]), LaplaceDist(mu[1], b[1]), tol)
+        assert seen == [(630, 30)] * 200
 
 
 class TestKlDpCheck:

@@ -27,6 +27,7 @@ from lapdetect import (
     hypothesis_pair,
     kappa,
     montecarlo,
+    noisy_release,
     run_attack_experiment,
 )
 from lapdetect.cli import main
@@ -150,6 +151,18 @@ def test_reach_check_agrees_with_the_extreme_draws():
     assert outcomes == {False, True}
 
 
+def test_sample_rejects_draws_that_overflow():
+    # The sampler applies the same reach rule before drawing, so it raises
+    # instead of warning and returning -inf.
+    cfg = MechanismConfig(s=1e307, eps=1.0, mu0=-1.7e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="overflow the float range"):
+            cfg.null_dist().sample(RngStream(1), 5)
+        with pytest.raises(ValueError, match="overflow the float range"):
+            noisy_release(0.0, cfg, RngStream(1))
+
+
 def test_attack_rejects_releases_that_overflow():
     # The residual draws are finite, but q + draw + x_a is not.
     data = Dataset(records=(1e307,) * 17, bound=1e307)
@@ -174,6 +187,19 @@ def test_simulate_with_overflowing_draws_exits_three(capsys):
     assert (code, err) == (0, "")
     report = json.loads(out)
     assert report["alpha_closed"] == pytest.approx(0.9) and report["pass"] is True
+
+
+@pytest.mark.parametrize("tail", ["right", "left", "two-sided"])
+def test_simulate_below_lattice_resolution_exits_three(capsys, tail):
+    # alpha = 1e-17 puts each tail's region beyond the farthest draw, 36.04 b0
+    # from mu0, so no sample size could estimate it; 1e-15 is within reach.
+    argv = ["simulate", "--dmu", "1", "--samples", "1000", "--tail", tail]
+    code, out, err = _run(capsys, *argv, "--alpha", "1e-17")
+    assert (code, out) == (3, "")
+    assert err.startswith("error: alpha=1e-17 is below the sampler's resolution")
+    code, out, err = _run(capsys, *argv, "--alpha", "1e-15")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["alpha_closed"] == pytest.approx(1e-15)
 
 
 def _run(capsys, *argv):
