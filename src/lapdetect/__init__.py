@@ -19,7 +19,7 @@ from .laplace import *  # noqa: F403
 from .mechanism import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 
 def __getattr__(name: str):

@@ -30,62 +30,9 @@ from .detector import DetectionTest, TailDirection
 from .mechanism import AttackSpec, MechanismConfig
 from .quadrature import QuadratureError
 
-__all__ = ["main", "SUBCOMMAND_OPS", "OPERATION_REGISTRY"]
+__all__ = ["main"]
 
 OUT_DIR_ENV = "LAPDETECT_OUT_DIR"
-
-# Ownership table: every public library operation is assigned to exactly one
-# subcommand, by topic; noisy_release, inject_attack, decide and LaplaceDist's
-# sample and pdf are not called by theirs. The test suite checks only that
-# this is a partition of the full operation registry.
-SUBCOMMAND_OPS = {
-    "threshold": frozenset(
-        {
-            "detector.kappa",
-            "detector.likelihood_ratio",
-            "laplace.LaplaceDist.quantile",
-        }
-    ),
-    "power": frozenset(
-        {
-            "mechanism.hypothesis_pair",
-            "laplace.LaplaceDist.cdf",
-            "laplace.LaplaceDist.survival",
-        }
-    ),
-    "roc": frozenset({"detector.roc_curve", "detector.write_roc_csv"}),
-    "interval": frozenset({"detector.bias_interval"}),
-    "kl": frozenset(
-        {
-            "divergence.kl_laplace",
-            "divergence.kl_laplace_variant",
-            "divergence.kl_quadrature",
-            "divergence.kl_dp_check",
-            "laplace.LaplaceDist.mean_abs_dev",
-            "laplace.LaplaceDist.pdf",
-            # Not kl's engine: the independent oracle behind its closed form.
-            "quadrature.adaptive_simpson",
-        }
-    ),
-    "kl-sweep": frozenset({"divergence.kl_sweep", "divergence.write_kl_sweep_csv"}),
-    "simulate": frozenset(
-        {
-            "montecarlo.estimate_error_rates",
-            "montecarlo.run_attack_experiment",
-            "montecarlo.default_grid",
-            "montecarlo.run_grid",
-            "montecarlo.write_grid_csv",
-            "mechanism.sum_query",
-            "mechanism.noisy_release",
-            "mechanism.inject_attack",
-            "mechanism.load_dataset",
-            "detector.decide",
-            "laplace.LaplaceDist.sample",
-        }
-    ),
-}
-
-OPERATION_REGISTRY = frozenset().union(*SUBCOMMAND_OPS.values())
 
 
 def _fmt(x: float) -> str:

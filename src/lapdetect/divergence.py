@@ -105,6 +105,8 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     density underflows.
 
     Raises:
+        ValueError: If a scale is so small (at most 2**-1024) that its
+            reciprocal overflows and the integrand would be NaN.
         QuadratureError: If the subdivision budget cannot reach ``tol``.
     """
     if not tol > 0.0:
@@ -112,6 +114,10 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     log_scale = math.log(p1.b / p0.b)
     mu0, mu1 = p0.mu, p1.mu
     ib0, ib1 = 1.0 / p0.b, 1.0 / p1.b
+    if not max(ib0, ib1) < math.inf:
+        raise ValueError(
+            f"cannot integrate at scale {min(p0.b, p1.b)!r}: its reciprocal overflows"
+        )
     half_ib0 = 0.5 * ib0
     exp = math.exp
 
@@ -131,12 +137,20 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     )
 
 
+def _dp_bound(epsilon: float) -> float:
+    """The KL-DP bound e^eps; +inf once eps exceeds ln(max double), about 709.78."""
+    try:
+        return math.exp(epsilon)
+    except OverflowError:
+        return math.inf
+
+
 def kl_dp_check(p0: LaplaceDist, p1: LaplaceDist, epsilon: float) -> KlReport:
     """Check D(p0 || p1) <= e^eps and report both sides plus the oracle value."""
     if not epsilon > 0.0:
         raise ValueError(f"privacy parameter must be positive, got {epsilon}")
     d = kl_laplace(p0, p1)
-    bound = math.exp(epsilon)
+    bound = _dp_bound(epsilon)
     return KlReport(
         d_closed=d,
         d_quadrature=kl_quadrature(p0, p1),
@@ -181,7 +195,7 @@ def kl_sweep(
                 b0 = s / eps
                 p0 = LaplaceDist(mu0, b0)
                 p1 = LaplaceDist(mu1, theta * b0)
-                d, bound = kl_laplace(p0, p1), math.exp(eps)
+                d, bound = kl_laplace(p0, p1), _dp_bound(eps)
                 row = (eps, theta, ratio, d, bound, d > bound)
                 rows.append(dict(zip(_SWEEP_HEADER, row)))
     return rows

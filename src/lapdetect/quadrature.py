@@ -55,8 +55,10 @@ class QuadratureError(ArithmeticError):
 
     Attributes:
         value: Best available estimate of the integral.
-        achieved: Error bound actually achieved (larger than the requested
-            tolerance, otherwise this would not have been raised).
+        achieved: Error bound actually achieved, the sum of the accepted
+            panels' estimates. Usually larger than the requested tolerance;
+            it can be smaller when some panel could not meet its share of
+            the tolerance before the budget ran out.
     """
 
     def __init__(self, message: str, value: float, achieved: float):
@@ -189,9 +191,15 @@ def _gauss_kronrod(
 
 
 def _exhausted(panels: int, tol: float, value: float, achieved: float) -> QuadratureError:
+    if achieved > tol:
+        why = f"achieved error bound {achieved:.3e} exceeds tol {tol:.3e}"
+    else:
+        why = (
+            f"some panel could not meet its share of tol {tol:.3e} "
+            f"(achieved error bound {achieved:.3e})"
+        )
     return QuadratureError(
-        f"subdivision budget exhausted after {panels} panels; "
-        f"achieved error bound {achieved:.3e} exceeds tol {tol:.3e}",
+        f"subdivision budget exhausted after {panels} panels; {why}",
         value=value,
         achieved=achieved,
     )

@@ -17,16 +17,21 @@ def _breaks(d: LaplaceDist, *extra: float) -> list[float]:
     return [d.mu + k * d.b for k in _LADDER] + list(extra)
 
 
+def integral(
+    d: LaplaceDist, f, lo: float, hi: float, *extra: float, tol: float = 1e-10
+) -> float:
+    """Integral of ``f`` over [lo, hi], cut along d's ladder and at ``extra``."""
+    return adaptive_simpson(f, lo, hi, tol, breakpoints=_breaks(d, *extra))
+
+
 def right_mass(d: LaplaceDist, k: float, tol: float = 1e-10) -> float:
     """P(Z > k) by quadrature."""
-    hi = max(d.mu, k) + 45.0 * d.b
-    return adaptive_simpson(d.pdf, k, hi, tol, breakpoints=_breaks(d))
+    return integral(d, d.pdf, k, max(d.mu, k) + 45.0 * d.b, tol=tol)
 
 
 def left_mass(d: LaplaceDist, k: float, tol: float = 1e-10) -> float:
     """P(Z < k) by quadrature."""
-    lo = min(d.mu, k) - 45.0 * d.b
-    return adaptive_simpson(d.pdf, lo, k, tol, breakpoints=_breaks(d))
+    return integral(d, d.pdf, min(d.mu, k) - 45.0 * d.b, k, tol=tol)
 
 
 def outside_mass(d: LaplaceDist, k1: float, k2: float, tol: float = 1e-10) -> float:

@@ -16,7 +16,7 @@ from lapdetect import (
     write_kl_sweep_csv,
     divergence,
 )
-from lapdetect.quadrature import _gauss_kronrod
+from lapdetect.quadrature import QuadratureError, _gauss_kronrod
 
 import io
 
@@ -163,6 +163,23 @@ class TestKlQuadrature:
         # panel would miss tol 4e-9 by up to 160x.
         assert abs(kl_quadrature(p0, p1, tol) - kl_laplace(p0, p1)) <= tol
 
+    @pytest.mark.parametrize("b0, b1", [(1e-310, 1e-310), (1.0, 2.0**-1024)])
+    def test_scale_whose_reciprocal_overflows_is_rejected(self, b0, b1):
+        # 1/b is inf, so the integrand would be NaN on every panel.
+        with pytest.raises(ValueError, match="reciprocal overflows"):
+            kl_quadrature(LaplaceDist(0.0, b0), LaplaceDist(1.0, b1))
+
+    def test_exhausted_budget_message_agrees_with_its_bound(self):
+        # At tol 1e-10 no panel near the value 3e5 can meet its share, while
+        # the accepted panels' estimates sum to less than tol.
+        p1 = LaplaceDist(664.0 * 1.25**7, 0.01)
+        with pytest.raises(QuadratureError) as info:
+            kl_quadrature(LaplaceDist(0.0, 1.0), p1, 1e-10)
+        err = info.value
+        assert err.achieved < 1e-10
+        assert "exceeds" not in str(err)
+        assert "could not meet its share of tol 1.000e-10" in str(err)
+
     def test_separation_by_scale_ratio_grid_meets_tol(self):
         p0 = LaplaceDist(0.0, 1.0)
         for sep in np.linspace(2.0, 36.0, 44):
@@ -229,6 +246,14 @@ class TestKlDpCheck:
         with pytest.raises(ValueError):
             kl_dp_check(d, d, epsilon=0.0)
 
+    @pytest.mark.parametrize("eps", [709.79, 710.0, 1e10, math.inf])
+    def test_bound_beyond_double_range_is_inf(self, eps):
+        # e^eps overflows past ln(max double) ~ 709.78; no finite
+        # divergence violates an infinite bound.
+        report = kl_dp_check(LaplaceDist(0.0, 1.0), LaplaceDist(1.0, 1.0), epsilon=eps)
+        assert report.bound == math.inf
+        assert not report.violated
+
 
 class TestKlSweep:
     def test_rows_and_flags(self):
@@ -239,6 +264,11 @@ class TestKlSweep:
         assert by_eps[1.0]["violated"]
         for r in rows:
             assert r["bound"] == pytest.approx(math.exp(r["epsilon"]), rel=1e-15)
+
+    def test_bound_beyond_double_range_is_inf(self):
+        rows = kl_sweep(eps_grid=[709.0, 710.0], thetas=[1.0, 1.5], dmu_over_s=[4.0])
+        assert [r["bound"] for r in rows] == [math.exp(709.0), math.inf] * 2
+        assert not any(r["violated"] for r in rows)
 
     def test_matches_pointwise_closed_form(self):
         rows = kl_sweep(eps_grid=[0.25, 2.0], thetas=[1.5], dmu_over_s=[0.5], s=2.0)

@@ -286,3 +286,52 @@ def test_overflowing_noise_scale_exits_three(capsys):
         "error: noise scale s/eps must be positive and finite, "
         "got s=1e+300, eps=1e-10, theta=1.0\n"
     )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dmu", "1", "--eps", "710"],
+        ["--dmu", "0", "--eps", "710"],
+        ["--dmu", "0", "--eps", "1e10"],
+    ],
+)
+def test_kl_bound_beyond_double_range_is_inf(capsys, argv):
+    code, out, err = _run(capsys, "kl", *argv)
+    assert (code, err) == (0, "")
+    assert "bound = inf" in out.splitlines()
+    assert "violated = false" in out.splitlines()
+
+
+def test_kl_json_with_infinite_bound_loads_back(capsys):
+    code, out, err = _run(capsys, "kl", "--dmu", "1", "--eps", "710", "--format", "json")
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["bound"] == math.inf
+    assert report["violated"] is False
+
+
+def test_kl_bound_just_below_overflow_is_unchanged(capsys):
+    code, out, err = _run(capsys, "kl", "--dmu", "1", "--eps", "709")
+    assert (code, err) == (0, "")
+    assert out == (
+        "d_closed = 708\nd_quadrature = 708\nepsilon = 709\n"
+        "bound = 8.218407e+307\nviolated = false\nform = canonical\n"
+    )
+
+
+def test_kl_sweep_bound_beyond_double_range_is_inf(capsys, tmp_path):
+    path = tmp_path / "k.csv"
+    code, _, err = _run(capsys, "kl-sweep", "--eps-list", "710", "--out", str(path))
+    assert (code, err) == (0, "")
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 6
+    assert all(row[4:] == ["inf", "false"] for row in rows)
+
+
+def test_kl_at_a_scale_too_small_to_integrate_exits_three(capsys):
+    # b0 = 1e-310: the closed form and the bound are inf, but the quadrature
+    # oracle cannot run where 1/b0 overflows.
+    code, out, err = _run(capsys, "kl", "--dmu", "1", "--s", "1e-300", "--eps", "1e10")
+    assert (code, out) == (3, "")
+    assert err == "error: cannot integrate at scale 1e-310: its reciprocal overflows\n"
