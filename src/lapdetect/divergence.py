@@ -104,6 +104,10 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     expanded analytically so the integrand stays finite where either
     density underflows.
 
+    tol is floored at 2**-44 m, m = |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1,
+    a bound on the integral of p0 |ln(p0/p1)| from the inputs, not the closed
+    forms: a tol below the double rounding of D (1e8 at eps 1e8) exhausts the budget.
+
     Raises:
         ValueError: If a scale is so small (at most 2**-1024) that its
             reciprocal overflows and the integrand would be NaN.
@@ -132,6 +136,7 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     for k in _LADDER_STEPS:
         breaks.append(mu0 - k * p0.b)
         breaks.append(mu0 + k * p0.b)
+    tol = max(tol, 2.0**-44 * (abs(log_scale) + (hi - lo + p0.b) * ib1 + 1.0))
     return _gauss_kronrod(
         integrand, lo - 40.0 * p0.b, hi + 40.0 * p0.b, tol, breakpoints=breaks
     )
@@ -193,8 +198,14 @@ def kl_sweep(
                 if not 0.0 < eps < math.inf:
                     raise ValueError(f"privacy parameter must be finite and > 0, got {eps}")
                 b0 = s / eps
+                b1 = theta * b0
+                if not 0.0 < b1 < math.inf:  # so is b0, as 1 <= theta < inf
+                    raise ValueError(
+                        f"noise scale s/eps must be positive and finite, got s={s}, "
+                        f"eps={eps}, theta={theta}"
+                    )
                 p0 = LaplaceDist(mu0, b0)
-                p1 = LaplaceDist(mu1, theta * b0)
+                p1 = LaplaceDist(mu1, b1)
                 d, bound = kl_laplace(p0, p1), _dp_bound(eps)
                 row = (eps, theta, ratio, d, bound, d > bound)
                 rows.append(dict(zip(_SWEEP_HEADER, row)))

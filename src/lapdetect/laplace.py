@@ -132,7 +132,7 @@ class LaplaceDist:
             raise ValueError(f"sample count must be nonnegative, got {n}")
         self._reach()
         import numpy as np
-        return self._sample_into(rng, np.empty(n))
+        return self._transform(rng.generator().integers(1, _U_DENOM, size=n), np.empty(n))
 
     def _reach(self) -> tuple[float, float]:
         """The extreme draws mu -+ 52 ln 2 b, those of lattice points 1 and 2^53 - 1.
@@ -144,10 +144,6 @@ class LaplaceDist:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"draws of {self} overflow the float range")
         return lo, hi
-
-    def _sample_into(self, rng: RngStream, out: np.ndarray) -> np.ndarray:
-        """Fill float64 ``out`` with the next ``out.size`` draws of ``rng``."""
-        return self._transform(rng.generator().integers(1, _U_DENOM, size=out.size), out)
 
     def _transform(self, k: np.ndarray, out: np.ndarray) -> np.ndarray:
         """Fill ``out`` with mu - b sign(q) log1p(-2|q|), q = k/2^53 - 0.5.
@@ -163,26 +159,29 @@ class LaplaceDist:
         np.log1p(np.multiply(np.abs(q, out=q), -2.0, out=q), out=q)
         return np.subtract(self.mu, np.multiply(sb, q, out=q), out=q)
 
-    def _count(self, rng: RngStream, m: int, sides) -> int:
-        """Sum of count_nonzero(f(sample(rng, m), t)) over (f, t) in ``sides``.
+    def _count(self, rng: RngStream, m: int, sides, q: float = 0.0, x_a: float = 0.0) -> int:
+        """Sum of count_nonzero(f(((q + x) + x_a) - q, t)) over (f, t) in ``sides``.
 
-        f is np.less or np.greater. Lattice points outside ``_cuts(t)``, or
-        none if t overflowed, are counted by comparison; the rest transformed.
+        x = sample(rng, m), f is np.less or np.greater; q = x_a = 0 counts x. Lattice
+        points outside ``_cuts(t - x_a, |q| + |x_a|)``, or none if t - x_a overflowed,
+        are counted by comparison; the rest go through the release pipeline, whose
+        three monotone float operations round by at most 2^-53 of |q| + |t - x_a| + |x_a|.
         """
         import numpy as np
         k = rng.generator().integers(1, _U_DENOM, size=m)
         hits = 0
         for f, t in sides:
-            lo, hi = self._cuts(t) if math.isfinite(t) else (0, _U_DENOM)
+            c = t - x_a
+            lo, hi = self._cuts(c, abs(q) + abs(x_a)) if math.isfinite(c) else (0, _U_DENOM)
             above, from_lo = int(np.count_nonzero(k > hi)), int(np.count_nonzero(k >= lo))
             hits += above if f is np.greater else m - from_lo
             if from_lo > above:
                 band = k[(k >= lo) & (k <= hi)]
                 x = self._transform(band, np.empty(band.size))
-                hits += int(np.count_nonzero(f(x, t)))
+                hits += int(np.count_nonzero(f((q + x) + x_a - q, t)))
         return hits
 
-    def _cuts(self, t: float) -> tuple[int, int]:
+    def _cuts(self, t: float, pad: float = 0.0) -> tuple[int, int]:
         """Lattice points lo <= hi with k > hi drawing x > t and k < lo x < t.
 
         The exact draw g(k) strictly increases in k, and rounding moves it by
@@ -190,8 +189,9 @@ class LaplaceDist:
         |t - mu|, the subtraction to |t|, a subnormal product by 2^-1075. So
         [lo, hi] brackets g^-1(t -/+ e), padded beyond the rounding of g^-1
         itself, whose relative error is below 2^-42 while exp does not flush.
+        ``pad``, |q| + |x_a| in ``_count``, keeps its pipeline's roundings inside e.
         """
-        e = 2.0**-38 * (abs(self.mu) + abs(t) + abs(t - self.mu)) + 2.0**-1060
+        e = 2.0**-38 * (abs(self.mu) + abs(t) + abs(t - self.mu) + pad) + 2.0**-1060
         lo = math.floor(self._lattice_point(t - e) * (1.0 - 2.0**-40)) - (1 << 14)
         return lo, math.ceil(self._lattice_point(t + e) * (1.0 + 2.0**-40)) + (1 << 14)
 

@@ -7,10 +7,9 @@ thread pool. Chunk boundaries depend only on the trial count, never on the
 worker count, and per-chunk detection counts are integers, so aggregated
 reports are bit-identical no matter how the chunks are scheduled. Threads
 are sufficient for parallelism here because the bulk sampling work happens
-inside numpy. Error-rate estimates count detections on the draws' integer
+inside numpy. Both simulations count detections on the draws' integer
 lattice, transforming only the draws next to a threshold; the attack
-pipeline, which needs every release, samples into one reused chunk buffer
-and mask per thread.
+pipeline passes those through the float release arithmetic it simulates.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from __future__ import annotations
 import io
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from operator import itemgetter
@@ -238,32 +236,22 @@ def run_attack_experiment(
     q = sum_query(data)
     test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
-    _check_reach(noise, q, sim.attack.x_a)
-
-    local = threading.local()
+    shift = (0.0, sim.attack.x_a)
+    _check_reach(noise, q, shift[1])
 
     def count(role: int, stream: RngStream, m: int, sides) -> tuple:
-        if not hasattr(local, "mask"):
-            local.out, local.mask = np.empty(_CHUNK), np.empty(_CHUNK, dtype=bool)
-        out = np.empty(m) if trace else local.out[:m]
-        releases = np.add(q, noise[role]._sample_into(stream, out), out=out)
-        if role == 1:
-            np.add(releases, sim.attack.x_a, out=releases)
-        # A kept chunk keeps its releases, so its residuals need their own array.
-        residuals = np.subtract(releases, q, out=None if trace else releases)
-        mask = local.mask[:m]
-        hits = sum(int(np.count_nonzero(f(residuals, t, out=mask))) for f, t in sides)
-        return hits, (releases, residuals) if trace else None
+        if not trace:
+            return noise[role]._count(stream, m, sides, q, shift[role]), None
+        releases = (q + noise[role].sample(stream, m)) + shift[role]
+        residuals = releases - q
+        detected = _detected(residuals, test)
+        return int(np.count_nonzero(detected)), (releases, residuals, detected)
 
     report, h0, h1 = _simulate(sim, test, count, workers)
     if not trace:
         return report
-
-    def joined(chunks):
-        releases, residuals = (np.concatenate([c[i] for c in chunks]) for i in (0, 1))
-        return releases, residuals, _detected(residuals, test)
-
-    return report, AttackTrace(*joined(h0), *joined(h1))
+    arrays = (np.concatenate([c[i] for c in kept]) for kept in (h0, h1) for i in range(3))
+    return report, AttackTrace(*arrays)
 
 
 def default_grid() -> list[tuple[float, float, float, float]]:

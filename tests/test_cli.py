@@ -72,6 +72,13 @@ class TestGoldenOutputs:
         assert payload["violated"] is False
         assert payload["bound"] == pytest.approx(1.6487212707001282)
 
+    def test_kl_at_large_divergence(self, capsys):
+        # D is about 1e8, whose double rounding exceeds the quadrature's tol.
+        code, out, err = run(capsys, "kl", "--dmu", "1", "--eps", "1e8", "--format", "json")
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["d_quadrature"] == pytest.approx(payload["d_closed"], rel=1e-15)
+
     def test_kl_variant_annotates(self, capsys):
         code, out, _ = run(capsys, "kl", "--dmu", "-1", "--kl-variant")
         assert code == 0
@@ -203,6 +210,14 @@ class TestArtifacts:
             (["--s", "nan"], "sensitivity must be finite and > 0"),
             (["--mu0", "nan"], "null location must be finite, got mu0=nan"),
             (["--dmu-over-s", "nan"], "bias ratio must be finite, got dmu_over_s=nan"),
+            (
+                ["--eps-start", "1e-320", "--eps-stop", "1e-320"],
+                "noise scale s/eps must be positive and finite, got s=1.0, eps=1e-320",
+            ),
+            (
+                ["--eps-list", "1e10", "--s", "1e-320"],
+                "noise scale s/eps must be positive and finite, got s=1e-320, eps=10000000000.0",
+            ),
             (
                 ["--mu0", "1e308", "--dmu-over-s", "1e10", "--s", "1e300"],
                 "attack location mu0 + dmu_over_s*s overflows, got inf",

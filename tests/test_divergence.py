@@ -169,9 +169,14 @@ class TestKlQuadrature:
         with pytest.raises(ValueError, match="reciprocal overflows"):
             kl_quadrature(LaplaceDist(0.0, b0), LaplaceDist(1.0, b1))
 
-    def test_exhausted_budget_message_agrees_with_its_bound(self):
-        # At tol 1e-10 no panel near the value 3e5 can meet its share, while
-        # the accepted panels' estimates sum to less than tol.
+    def test_exhausted_budget_message_agrees_with_its_bound(self, monkeypatch):
+        # Integrated to tol 1e-10 itself, not to kl_quadrature's floor, no
+        # panel near the value 3e5 can meet its share, while the accepted
+        # panels' estimates sum to less than tol.
+        def unfloored(f, a, b, tol, *, breakpoints):
+            return _gauss_kronrod(f, a, b, 1e-10, breakpoints=breakpoints)
+
+        monkeypatch.setattr(divergence, "_gauss_kronrod", unfloored)
         p1 = LaplaceDist(664.0 * 1.25**7, 0.01)
         with pytest.raises(QuadratureError) as info:
             kl_quadrature(LaplaceDist(0.0, 1.0), p1, 1e-10)
@@ -179,6 +184,20 @@ class TestKlQuadrature:
         assert err.achieved < 1e-10
         assert "exceeds" not in str(err)
         assert "could not meet its share of tol 1.000e-10" in str(err)
+
+    def test_tol_floor_follows_the_magnitude_of_the_integral(self):
+        # An absolute tol of 1e-10 lies below the rounding of D near 3e5 for
+        # b1 = 0.01 b0 far apart, and near 1e8 at eps 1e8; each pair meets
+        # the floor 2**-44 m instead of exhausting the budget.
+        pairs = [
+            (LaplaceDist(0.0, 1.0), LaplaceDist(sign * 664.0 * 1.25**i, 0.01))
+            for i in range(12) for sign in (1.0, -1.0)
+        ]
+        pairs.append((LaplaceDist(0.0, 1e-8), LaplaceDist(1.0, 1e-8)))
+        for p0, p1 in pairs:
+            m = abs(math.log(p1.b / p0.b)) + (abs(p1.mu - p0.mu) + p0.b) / p1.b + 1.0
+            err = abs(kl_quadrature(p0, p1, 1e-10) - kl_laplace(p0, p1))
+            assert err <= max(1e-10, 2.0**-44 * m), (p1, err)
 
     def test_separation_by_scale_ratio_grid_meets_tol(self):
         p0 = LaplaceDist(0.0, 1.0)
@@ -308,6 +327,20 @@ class TestKlSweep:
     def test_non_finite_null_location_names_mu0(self, mu0):
         with pytest.raises(ValueError, match="null location must be finite, got mu0="):
             kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1.0], mu0=mu0)
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            dict(eps_grid=[1e-320]),
+            dict(eps_grid=[1e10], s=1e-320),
+            dict(eps_grid=[1e-295], thetas=[1e10], s=1e10),
+        ],
+        ids=["b0-overflows", "b0-underflows", "b1-overflows"],
+    )
+    def test_scale_beyond_double_range_names_s_eps_theta(self, grid):
+        grid = {"thetas": [1.0], "dmu_over_s": [1.0], **grid}
+        with pytest.raises(ValueError, match="noise scale s/eps must be positive and finite, got s="):
+            kl_sweep(**grid)
 
     def test_overflowing_attack_location_names_the_shift(self):
         # 1e308 + 1e10 * 1e300 rounds to inf although every input is finite.

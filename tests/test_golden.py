@@ -97,6 +97,36 @@ def test_simulate_json(capsys, tail, workers):
     assert _sha(out) == SIMULATE_JSON[tail]
 
 
+# The release pipeline ((q + z) + x_a) - q on a records file, one digest per
+# tail at any worker count; "quantized" is the one case where ulp(q) = 2^-23
+# is close to b0 = 1e-7, so rounding q + z moves alpha_hat to about 0.084
+# and the report fails its band.
+SIMULATE_DATA_JSON = {
+    "right": "856c10151c8a1000b6c65215f49c676f50353ed285a72aad057591655ebc52ef",
+    "left": "cd2b550215895b2384f0dbb48eafe8fc229f61528ed0b1e812eed6221f16fa99",
+    "two-sided": "af06749e5255655886198e17805d2874f5310a5b06eb1a935f5060d9598d02ed",
+    "quantized": "194868a11df87588864dfdfe0388fc10379c502b3f6efe7e806cebd24f8435b0",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+@pytest.mark.parametrize("case", list(SIMULATE_DATA_JSON))
+def test_simulate_data_json(capsys, tmp_path, case, workers):
+    records = tmp_path / "records.txt"
+    if case == "quantized":
+        records.write_text("1e6\n" * 1000)
+        args = ["--bound", "1e6", "--s", "1e6", "--eps", "1e13", "--dmu=1e-7"]
+    else:
+        records.write_text("0.5\n1.125\n0.25\n")
+        args = ["--bound", "1.2", "--s", "1.2", "--dmu", "-1" if case == "left" else "1"]
+        args += ["--tail", case]
+    out = _run(
+        capsys, "simulate", "--data", str(records), *args, "--alpha", "0.1",
+        "--samples", "150001", "--seed", "7", "--workers", workers,
+    )
+    assert _sha(out) == SIMULATE_DATA_JSON[case]
+
+
 def test_sweep_grid_csv_appended_twice(capsys, tmp_path):
     path = tmp_path / "grid.csv"
     for seed in ("5", "6"):

@@ -231,32 +231,41 @@ class TestStreamKeying:
             np.testing.assert_array_equal(got, want, err_msg=name)
 
 
-class TestBufferedChunks:
-    """Untraced attack runs sample into per-thread buffers, traced ones keep
-    fresh arrays, and estimates count on the lattice. Each scores the same
-    at any worker count."""
+class TestLatticeCount:
+    """Untraced attack runs count each chunk on the draws' integer lattice
+    (``LaplaceDist._count``) and pass only the draws next to a threshold
+    through the release pipeline ((q + z) + x_a) - q; traced runs form every
+    release. Both score the same at any worker count, also where q, mu0 or
+    x_a dwarf b0 and where the cut t - x_a overflows."""
 
     N = 100_003  # not a multiple of the 2^16 chunk
-    DATA = Dataset(records=(0.5, 0.25, 1.0), bound=1.0)
+    CASES = {
+        "small": (MechanismConfig(s=1.0, eps=0.7, theta=1.5, mu0=0.3), (0.5, 0.25, 1.0), 0.8),
+        # ulp(q) = 2^-23 is close to b0 = 1e-7, so rounding q + z quantizes releases.
+        "q=1e9": (MechanismConfig(s=1e6, eps=1e13), (1e6,) * 1000, 1e-7),
+        "mu0=1e8": (MechanismConfig(s=1e-6, eps=1.0, theta=1.5, mu0=1e8), (5e-7, 2.5e-7), 1e-6),
+        "mu0=-1e12": (MechanismConfig(s=1.0, eps=0.5, theta=1.5, mu0=-1e12), (0.5, 1.0), -2.0),
+        "x_a=1e300": (MechanismConfig(s=1.0, eps=1.0), (0.5, 0.25), 1e300),
+        # t - x_a overflows, so every lattice point goes through the pipeline.
+        "t-x_a=inf": (MechanismConfig(s=1.0, eps=1.0, mu0=1e308), (0.5,), -1e308),
+    }
 
-    def _sim(self, direction):
-        return _sim(
-            cfg=MechanismConfig(s=1.0, eps=0.7, theta=1.5, mu0=0.3),
-            attack=AttackSpec(-0.8 if direction is TailDirection.LEFT else 0.8),
-            direction=direction,
-            n_trials=self.N,
-        )
+    def _run(self, case, direction, **kwargs):
+        cfg, records, x_a = self.CASES[case]
+        sim = _sim(cfg=cfg, attack=AttackSpec(x_a), direction=direction, n_trials=self.N)
+        return run_attack_experiment(Dataset(records, bound=cfg.s), sim, **kwargs)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("direction", list(TailDirection))
-    def test_untraced_report_equals_traced(self, workers, direction):
-        sim = self._sim(direction)
-        report, _ = run_attack_experiment(self.DATA, sim, workers=workers, trace=True)
-        assert run_attack_experiment(self.DATA, sim, workers=workers) == report
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_untraced_report_equals_traced(self, case, direction, workers):
+        report, _ = self._run(case, direction, workers=workers, trace=True)
+        assert self._run(case, direction, workers=workers) == report
 
     @pytest.mark.parametrize("direction", list(TailDirection))
     def test_estimate_same_at_one_and_two_workers(self, direction):
-        sim = self._sim(direction)
+        cfg, _, x_a = self.CASES["small"]
+        sim = _sim(cfg=cfg, attack=AttackSpec(x_a), direction=direction, n_trials=self.N)
         assert estimate_error_rates(sim, workers=1) == estimate_error_rates(sim, workers=2)
 
 

@@ -1,5 +1,7 @@
 """The package's public surface is exactly its modules' ``__all__`` lists."""
 
+import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -38,3 +40,40 @@ def test_version_matches_pyproject():
     match = re.search(r'^version = "([^"]+)"$', text, re.MULTILINE)
     assert match is not None, "no version line in pyproject.toml"
     assert lapdetect.__version__ == match.group(1)
+
+
+def _bench_names() -> set[str]:
+    """Each X of ``from lapdetect import X`` and of ``ld.X``, where ``ld`` is
+    an alias of lapdetect, in the benchmark's sources."""
+    names = set()
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = {
+            a.asname or a.name
+            for node in ast.walk(tree) if isinstance(node, ast.Import)
+            for a in node.names if a.name == "lapdetect"
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "lapdetect":
+                names.update(a.name for a in node.names)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in aliases
+            ):
+                names.add(node.attr)
+    return names
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    # Only the traced benchmark run would otherwise notice a dropped name.
+    names = _bench_names()
+    assert names
+    missing = []
+    for name in sorted(names):
+        if not hasattr(lapdetect, name):
+            try:
+                importlib.import_module(f"lapdetect.{name}")  # a submodule, such as cli
+            except ModuleNotFoundError:
+                missing.append(name)
+    assert missing == [], missing
