@@ -137,7 +137,8 @@ def likelihood_ratio(
             return math.inf
     import numpy as np
     z = np.asarray(z, dtype=float)
-    return np.exp(np.abs(z - h0.mu) / h0.b - np.abs(z - h1.mu) / h1.b) / cfg.theta
+    with np.errstate(over="ignore"):  # inf, as the scalar path returns
+        return np.exp(np.abs(z - h0.mu) / h0.b - np.abs(z - h1.mu) / h1.b) / cfg.theta
 
 
 @dataclass(frozen=True)

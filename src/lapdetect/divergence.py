@@ -110,7 +110,8 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
 
     Raises:
         ValueError: If a scale is so small (at most 2**-1024) that its
-            reciprocal overflows and the integrand would be NaN.
+            reciprocal overflows and the integrand would be NaN, or if m
+            overflows, where the integrand is inf and no panel can converge.
         QuadratureError: If the subdivision budget cannot reach ``tol``.
     """
     if not tol > 0.0:
@@ -132,11 +133,17 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
         return exp(-d0 * ib0) * half_ib0 * (log_scale + abs(z - mu1) * ib1 - d0 * ib0)
 
     lo, hi = min(mu0, mu1), max(mu0, mu1)
+    m = abs(log_scale) + (hi - lo + p0.b) * ib1 + 1.0
+    if not m < math.inf:
+        raise ValueError(
+            "cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
+            f"overflows (b1/b0 = {p1.b / p0.b!r}, |mu1 - mu0|/b1 = {(hi - lo) * ib1!r})"
+        )
     breaks = [mu0, mu1]
     for k in _LADDER_STEPS:
         breaks.append(mu0 - k * p0.b)
         breaks.append(mu0 + k * p0.b)
-    tol = max(tol, 2.0**-44 * (abs(log_scale) + (hi - lo + p0.b) * ib1 + 1.0))
+    tol = max(tol, 2.0**-44 * m)
     return _gauss_kronrod(
         integrand, lo - 40.0 * p0.b, hi + 40.0 * p0.b, tol, breakpoints=breaks
     )

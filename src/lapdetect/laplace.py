@@ -131,8 +131,7 @@ class LaplaceDist:
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
         self._reach()
-        import numpy as np
-        return self._transform(rng.generator().integers(1, _U_DENOM, size=n), np.empty(n))
+        return self._transform(rng.generator().integers(1, _U_DENOM, size=n))
 
     def _reach(self) -> tuple[float, float]:
         """The extreme draws mu -+ 52 ln 2 b, those of lattice points 1 and 2^53 - 1.
@@ -145,40 +144,42 @@ class LaplaceDist:
             raise ValueError(f"draws of {self} overflow the float range")
         return lo, hi
 
-    def _transform(self, k: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Fill ``out`` with mu - b sign(q) log1p(-2|q|), q = k/2^53 - 0.5.
+    def _transform(self, k: np.ndarray) -> np.ndarray:
+        """mu - b sign(q) log1p(-2|q|), q = k/2^53 - 0.5, at int64 lattice points ``k``.
 
-        One in-place pass per operation of that expression, in its order, so
-        the draws match it bit for bit. log1p's argument is exact on the
-        lattice k/2^53; b sign(q) overwrites the int64 lattice points ``k``.
+        One pass per operation of that expression, in its order and in place
+        after the first, so the draws match it bit for bit. log1p's argument
+        is exact on the lattice k/2^53; b sign(q) overwrites ``k``.
         """
         import numpy as np
-        q = np.subtract(np.multiply(k, _U_SCALE, out=out), 0.5, out=out)
+        q = k * _U_SCALE
+        np.subtract(q, 0.5, out=q)
         sb = np.sign(q, out=k.view(np.float64))
         np.multiply(sb, self.b, out=sb)
         np.log1p(np.multiply(np.abs(q, out=q), -2.0, out=q), out=q)
         return np.subtract(self.mu, np.multiply(sb, q, out=q), out=q)
 
-    def _count(self, rng: RngStream, m: int, sides, q: float = 0.0, x_a: float = 0.0) -> int:
-        """Sum of count_nonzero(f(((q + x) + x_a) - q, t)) over (f, t) in ``sides``.
+    def _count(self, rng: RngStream, m: int, lo: float, hi: float, q=0.0, x_a=0.0) -> int:
+        """How many r = ((q + x) + x_a) - q, x = sample(rng, m), lie below lo or above hi.
 
-        x = sample(rng, m), f is np.less or np.greater; q = x_a = 0 counts x. Lattice
-        points outside ``_cuts(t - x_a, |q| + |x_a|)``, or none if t - x_a overflowed,
-        are counted by comparison; the rest go through the release pipeline, whose
-        three monotone float operations round by at most 2^-53 of |q| + |t - x_a| + |x_a|.
+        q = x_a = 0 counts x; an infinite end counts nothing. For a finite end t, lattice
+        points outside ``_cuts(t - x_a, |q| + |x_a|)``, or none if t - x_a overflowed, are
+        counted by comparison; the rest go through the release pipeline, whose three
+        monotone float operations round by at most 2^-53 of |q| + |t - x_a| + |x_a|.
         """
         import numpy as np
         k = rng.generator().integers(1, _U_DENOM, size=m)
         hits = 0
-        for f, t in sides:
+        for t, below in ((lo, True), (hi, False)):
+            if not math.isfinite(t):
+                continue
             c = t - x_a
-            lo, hi = self._cuts(c, abs(q) + abs(x_a)) if math.isfinite(c) else (0, _U_DENOM)
-            above, from_lo = int(np.count_nonzero(k > hi)), int(np.count_nonzero(k >= lo))
-            hits += above if f is np.greater else m - from_lo
+            k_lo, k_hi = self._cuts(c, abs(q) + abs(x_a)) if math.isfinite(c) else (0, _U_DENOM)
+            above, from_lo = int(np.count_nonzero(k > k_hi)), int(np.count_nonzero(k >= k_lo))
+            hits += m - from_lo if below else above
             if from_lo > above:
-                band = k[(k >= lo) & (k <= hi)]
-                x = self._transform(band, np.empty(band.size))
-                hits += int(np.count_nonzero(f((q + x) + x_a - q, t)))
+                r = (q + self._transform(k[(k >= k_lo) & (k <= k_hi)])) + x_a - q
+                hits += int(np.count_nonzero(r < t if below else r > t))
         return hits
 
     def _cuts(self, t: float, pad: float = 0.0) -> tuple[int, int]:

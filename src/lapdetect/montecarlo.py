@@ -7,9 +7,10 @@ thread pool. Chunk boundaries depend only on the trial count, never on the
 worker count, and per-chunk detection counts are integers, so aggregated
 reports are bit-identical no matter how the chunks are scheduled. Threads
 are sufficient for parallelism here because the bulk sampling work happens
-inside numpy. Both simulations count detections on the draws' integer
-lattice, transforming only the draws next to a threshold; the attack
-pipeline passes those through the float release arithmetic it simulates.
+inside numpy. ``LaplaceDist._count`` makes every reported count: it counts
+detections on the draws' integer lattice, transforming only the draws next
+to a threshold, and passes those through the float release arithmetic the
+attack pipeline simulates. A trace's arrays are formed after the count.
 """
 
 from __future__ import annotations
@@ -116,15 +117,6 @@ def _half_width(p_hat: float, n: int) -> float:
     return 3.0 * math.sqrt(p_hat * (1.0 - p_hat) / n)
 
 
-def _check_reach(noise: Sequence[LaplaceDist], q: float = 0.0, x_a: float = 0.0) -> None:
-    """Raise unless the extreme draws of ``noise`` (H0, H1) are finite and
-    give finite releases q + draw (+ x_a under H1) and residuals release - q."""
-    for d, shift in zip(noise, (0.0, x_a)):
-        for x in d._reach():
-            if not math.isfinite(q + x + shift - q):
-                raise ValueError(f"draws of {d} overflow the float range")
-
-
 def _check_resolution(sim: SimConfig) -> None:
     """Raise unless some draw under H0 can fall in the critical region.
 
@@ -142,43 +134,52 @@ def _check_resolution(sim: SimConfig) -> None:
         )
 
 
-def _simulate(
-    sim: SimConfig, test: DetectionTest, count, workers: int
-) -> tuple[SimReport, list, list]:
-    """Run every chunk of both roles and score the detections.
+def _chunks(sim: SimConfig, role: int) -> list[tuple[RngStream, int]]:
+    """Each chunk of ``role``'s trials as (stream, trial count), in chunk order."""
+    n, key = sim.n_trials, role << _ROLE_SHIFT
+    starts = range(0, n, _CHUNK)
+    return [(RngStream(sim.seed, key | c), min(_CHUNK, n - s)) for c, s in enumerate(starts)]
 
-    ``count(role, stream, m, sides)`` draws a chunk's m residuals from
-    ``stream`` and returns how many satisfy f(z, t) for some (f, t) in
-    ``sides``, the strict comparisons with the region's finite ends, with
-    what to keep of the chunk (or None). Returns the report and, per role,
-    each chunk's kept value in chunk order.
+
+def _simulate(
+    sim: SimConfig, noise: Sequence[LaplaceDist], q: float, x_a: float, workers: int
+) -> SimReport:
+    """Score the calibrated test on every chunk of both roles: role r counts
+    the residuals ((q + x) + shift) - q of draws x of ``noise[r]``, where the
+    shift is 0 under H0 and ``x_a`` under H1.
+
+    Raises:
+        ValueError: If an extreme draw, release or residual leaves the float
+            range, or if ``workers`` is below 1.
     """
+    test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
+    shifts = (0.0, x_a)
+    for d, shift in zip(noise, shifts):
+        for x in d._reach():
+            if not math.isfinite(q + x + shift - q):
+                raise ValueError(f"draws of {d} overflow the float range")
     if workers < 1:
         raise ValueError(f"need at least one worker, got workers={workers}")
-    n = sim.n_trials
-    # One strict comparison per finite end of the region; the ends are disjoint.
-    ends = zip((np.less, np.greater), _region(test.direction, test.offset))
-    sides = [(f, test.cfg.mu0 + t) for f, t in ends if math.isfinite(t)]
+    lo, hi = (sim.cfg.mu0 + t for t in _region(test.direction, test.offset))
 
-    def run(task: tuple[int, int]) -> tuple[int, object]:
-        role, c = task
-        m = min(_CHUNK, n - c * _CHUNK)
-        return count(role, RngStream(sim.seed, (role << _ROLE_SHIFT) | c), m, sides)
+    def run(task: tuple[int, RngStream, int]) -> int:
+        role, stream, m = task
+        return noise[role]._count(stream, m, lo, hi, q, shifts[role])
 
-    tasks = [(role, c) for role in (0, 1) for c in range((n + _CHUNK - 1) // _CHUNK)]
+    tasks = [(role, *chunk) for role in (0, 1) for chunk in _chunks(sim, role)]
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            out = list(pool.map(run, tasks))
+            hits = list(pool.map(run, tasks))
     else:
-        out = [run(t) for t in tasks]
-    h0, h1 = out[: len(out) // 2], out[len(out) // 2 :]
-    alpha_hat = sum(d for d, _ in h0) / n
-    power_hat = sum(d for d, _ in h1) / n
+        hits = [run(t) for t in tasks]
+    n = sim.n_trials
+    alpha_hat = sum(hits[: len(hits) // 2]) / n
+    power_hat = sum(hits[len(hits) // 2 :]) / n
     alpha_closed = test.size()
     power_closed = test.power(sim.attack)
     hw_alpha = _half_width(alpha_hat, n)
     hw_power = _half_width(power_hat, n)
-    report = SimReport(
+    return SimReport(
         alpha_hat=alpha_hat,
         power_hat=power_hat,
         alpha_closed=alpha_closed,
@@ -190,7 +191,6 @@ def _simulate(
             and abs(power_hat - power_closed) <= hw_power
         ),
     )
-    return report, [p for _, p in h0], [p for _, p in h1]
 
 
 def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
@@ -200,13 +200,7 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     (bias injected, scale inflated by theta), counting detections with the
     calibrated test. Deterministic per seed regardless of ``workers``.
     """
-    test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
-    dists = hypothesis_pair(sim.cfg, sim.attack)
-    _check_reach(dists)
-    report, _, _ = _simulate(
-        sim, test, lambda role, *chunk: (dists[role]._count(*chunk), None), workers
-    )
-    return report
+    return _simulate(sim, hypothesis_pair(sim.cfg, sim.attack), 0.0, 0.0, workers)
 
 
 def run_attack_experiment(
@@ -219,9 +213,10 @@ def run_attack_experiment(
 
     Per trial: release the noisy sum, under H1 additionally inject the
     attack record's value, then let the defender form the residual
-    release - q(x) and decide. With ``trace=True`` also returns the
-    per-trial releases, residuals and decisions (memory scales with
-    n_trials).
+    release - q(x) and decide. The report counts detections on the draws'
+    lattice, like :func:`estimate_error_rates`. With ``trace=True`` also
+    returns the per-trial releases, residuals and decisions, formed after
+    the count from the same chunk streams (memory scales with n_trials).
 
     Raises:
         ValueError: If the dataset bound disagrees with the configured
@@ -234,23 +229,18 @@ def run_attack_experiment(
             "the sum query's sensitivity is the record bound"
         )
     q = sum_query(data)
-    test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
-    shift = (0.0, sim.attack.x_a)
-    _check_reach(noise, q, shift[1])
-
-    def count(role: int, stream: RngStream, m: int, sides) -> tuple:
-        if not trace:
-            return noise[role]._count(stream, m, sides, q, shift[role]), None
-        releases = (q + noise[role].sample(stream, m)) + shift[role]
-        residuals = releases - q
-        detected = _detected(residuals, test)
-        return int(np.count_nonzero(detected)), (releases, residuals, detected)
-
-    report, h0, h1 = _simulate(sim, test, count, workers)
+    report = _simulate(sim, noise, q, sim.attack.x_a, workers)
     if not trace:
         return report
-    arrays = (np.concatenate([c[i] for c in kept]) for kept in (h0, h1) for i in range(3))
+    test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
+    arrays = []
+    for role, shift in enumerate((0.0, sim.attack.x_a)):
+        releases = np.concatenate(
+            [(q + noise[role].sample(stream, m)) + shift for stream, m in _chunks(sim, role)]
+        )
+        residuals = releases - q
+        arrays += [releases, residuals, _detected(residuals, test)]
     return report, AttackTrace(*arrays)
 
 

@@ -2,7 +2,11 @@
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,35 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestModuleEntry:
+    """``python -m lapdetect.cli`` exits with ``main``'s code, in a fresh interpreter."""
+
+    @staticmethod
+    def _spawn(*argv: str) -> subprocess.CompletedProcess:
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run(
+            [sys.executable, "-m", "lapdetect.cli", *argv],
+            env={**os.environ, "PYTHONPATH": str(src)},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+
+    def test_success_prints_and_exits_zero(self):
+        proc = self._spawn("threshold", "--alpha", "0.5")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "0\n", "")
+
+    def test_missing_subcommand_exits_two(self):
+        proc = self._spawn()
+        assert proc.returncode == 2
+        assert "required: subcommand" in proc.stderr
+
+    def test_domain_error_exits_three(self):
+        proc = self._spawn("threshold", "--alpha", "2")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
 
 
 class TestGoldenOutputs:
@@ -143,6 +176,22 @@ class TestExitCodes:
         assert code == 3
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kl", "--dmu", "1e308", "--eps", "10"],
+            ["kl", "--dmu", "1e200", "--eps", "1e200"],
+            ["kl", "--dmu=-1e308", "--eps", "10", "--theta", "2"],
+        ],
+    )
+    def test_kl_with_overflowing_shift_exits_three(self, capsys, argv):
+        # |mu1 - mu0|/b1 overflows, so the quadrature is refused up front.
+        code, out, err = run(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot integrate") and "|mu1 - mu0|/b1 = inf" in err
         assert err.count("\n") == 1
 
 

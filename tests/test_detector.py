@@ -207,6 +207,15 @@ class TestLikelihoodRatio:
             vec, [likelihood_ratio(float(v), UNIT, attack) for v in z]
         )
 
+    def test_vector_overflow_is_inf_like_scalar(self):
+        # e^(2000 - 1000) overflows: the scalar path returns inf, and the
+        # array path must too, without an overflow warning.
+        cfg = MechanismConfig(s=1.0, eps=1.0, theta=2.0)
+        scalar = likelihood_ratio(2000.0, cfg, AttackSpec(0.0))
+        vec = likelihood_ratio(np.array([2000.0]), cfg, AttackSpec(0.0))
+        assert scalar == math.inf
+        np.testing.assert_array_equal(vec, [scalar])
+
 
 class TestKappa:
     def test_midpoint_cutoff_is_one(self):
@@ -457,6 +466,20 @@ class TestRocCurve:
         for i, p in enumerate(curve.points, start=1):
             t = DetectionTest.from_alpha(i / (grid + 1), cfg, direction)
             assert (p.alpha, p.k1, p.k2, p.power) == (t.alpha, t.k1, t.k2, t.power(attack))
+
+    @pytest.mark.parametrize(
+        "points, auc, message",
+        [
+            ([(0.2, 0.5), (0.2, 0.6)], 0.5, "sizes must be strictly increasing"),
+            ([(0.1, 0.5), (0.2, 0.5 - 2e-12)], 0.5, "powers must be nondecreasing"),
+            ([(0.1, 0.5), (0.2, 0.6)], 1.5, r"AUC must lie in \[0, 1\], got 1.5"),
+        ],
+        ids=["sizes", "powers", "auc"],
+    )
+    def test_inconsistent_curve_rejected(self, points, auc, message):
+        pts = tuple(detector.RocPoint(a, 0.0, None, p) for a, p in points)
+        with pytest.raises(ValueError, match=message):
+            detector.RocCurve(RIGHT, pts, auc)
 
     @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
     def test_every_point_is_size_checked(self, monkeypatch, direction):

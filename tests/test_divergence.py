@@ -169,6 +169,26 @@ class TestKlQuadrature:
         with pytest.raises(ValueError, match="reciprocal overflows"):
             kl_quadrature(LaplaceDist(0.0, b0), LaplaceDist(1.0, b1))
 
+    @pytest.mark.parametrize(
+        "p0, p1, what",
+        [
+            (LaplaceDist(0.0, 0.1), LaplaceDist(1e308, 0.1), "|mu1 - mu0|/b1 = inf"),
+            (LaplaceDist(0.0, 1e-200), LaplaceDist(1e200, 1e-200), "|mu1 - mu0|/b1 = inf"),
+            (LaplaceDist(1e308, 1.0), LaplaceDist(-1e308, 2.0), "|mu1 - mu0|/b1 = inf"),
+            (LaplaceDist(0.0, 1e-300), LaplaceDist(1.0, 1e300), "b1/b0 = inf"),
+        ],
+    )
+    def test_overflowing_bound_is_rejected_before_integrating(self, monkeypatch, p0, p1, what):
+        # The integrand is inf, so every panel's error estimate would be NaN
+        # and the quadrature would spend its whole budget before failing.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrated an unbounded integrand")
+
+        monkeypatch.setattr(divergence, "_gauss_kronrod", unreachable)
+        with pytest.raises(ValueError, match="bound .* overflows") as info:
+            kl_quadrature(p0, p1)
+        assert what in str(info.value)
+
     def test_exhausted_budget_message_agrees_with_its_bound(self, monkeypatch):
         # Integrated to tol 1e-10 itself, not to kl_quadrature's floor, no
         # panel near the value 3e5 can meet its share, while the accepted

@@ -133,16 +133,18 @@ def test_estimate_rejects_draws_that_overflow(mu0, alpha, direction):
 
 
 def test_reach_check_agrees_with_the_extreme_draws():
-    # The check raises exactly when a draw at lattice point 1 or 2^53 - 1 overflows.
+    # The harness raises exactly when a draw at lattice point 1 or 2^53 - 1 overflows.
     mu0 = -1.7e308
     edge = (np.finfo(float).max + mu0) / (52 * math.log(2))
+    cfg = MechanismConfig(s=1.0, eps=1.0)
+    sim = SimConfig(cfg, AttackSpec(0.0), 0.1, TailDirection.RIGHT, 1, seed=8)
     outcomes = set()
     for b in edge * (1.0 + np.arange(-40, 41) * 2.0**-52):
         dist = LaplaceDist(mu0, float(b))
         with np.errstate(over="ignore"):
-            draws = dist._transform(np.array([1, 2**53 - 1]), np.empty(2))
+            draws = dist._transform(np.array([1, 2**53 - 1]))
         try:
-            montecarlo._check_reach((dist, dist))
+            montecarlo._simulate(sim, (dist, dist), 0.0, 0.0, workers=1)
             raised = False
         except ValueError:
             raised = True

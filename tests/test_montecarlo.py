@@ -232,11 +232,12 @@ class TestStreamKeying:
 
 
 class TestLatticeCount:
-    """Untraced attack runs count each chunk on the draws' integer lattice
+    """Attack runs count each chunk on the draws' integer lattice
     (``LaplaceDist._count``) and pass only the draws next to a threshold
-    through the release pipeline ((q + z) + x_a) - q; traced runs form every
-    release. Both score the same at any worker count, also where q, mu0 or
-    x_a dwarf b0 and where the cut t - x_a overflows."""
+    through the release pipeline ((q + z) + x_a) - q; a trace forms every
+    release and decides it with ``_detected``. The report's counts equal the
+    trace's at any worker count, also where q, mu0 or x_a dwarf b0 and where
+    the cut t - x_a overflows."""
 
     N = 100_003  # not a multiple of the 2^16 chunk
     CASES = {
@@ -258,9 +259,10 @@ class TestLatticeCount:
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("direction", list(TailDirection))
     @pytest.mark.parametrize("case", list(CASES))
-    def test_untraced_report_equals_traced(self, case, direction, workers):
-        report, _ = self._run(case, direction, workers=workers, trace=True)
-        assert self._run(case, direction, workers=workers) == report
+    def test_report_counts_equal_traced_detections(self, case, direction, workers):
+        report, trace = self._run(case, direction, workers=workers, trace=True)
+        n0, n1 = int(trace.h0_detected.sum()), int(trace.h1_detected.sum())
+        assert (report.alpha_hat, report.power_hat) == (n0 / self.N, n1 / self.N)
 
     @pytest.mark.parametrize("direction", list(TailDirection))
     def test_estimate_same_at_one_and_two_workers(self, direction):
