@@ -1,10 +1,10 @@
 """Statistical detection of adversarial bias in Laplace-mechanism releases.
 
 A library and CLI for the defender's side of a perturbed differential
-privacy release: Neyman-Pearson thresholds and likelihood-ratio cutoffs,
-exact error/power curves and ROC sweeps, detectable-bias intervals, KL
-divergence accounting against the e^eps admissibility bound, and Monte
-Carlo validation of every closed form.
+privacy release: threshold tests (most powerful only at theta = 1) and
+likelihood-ratio cutoffs, exact error/power curves and ROC sweeps,
+detectable-bias intervals, KL divergence accounting against the e^eps
+admissibility bound, and Monte Carlo validation of every closed form.
 
 The public surface is each module's ``__all__``, re-exported here.
 ``montecarlo``, the one module that imports numpy, loads on first use.
@@ -19,7 +19,7 @@ from .laplace import *  # noqa: F403
 from .mechanism import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 
 def __getattr__(name: str):

@@ -276,7 +276,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _tail_arg(p)
     p.add_argument("--samples", type=int, default=100_000, help="trials per hypothesis")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1, help="thread fan-out for trials")
+    p.add_argument("--workers", type=int, default=1, help="must be >= 1; starts no threads")
     p.add_argument("--data", default=None, help="records file (CSV or plain text)")
     p.add_argument("--bound", type=float, default=None, help="record bound for --data")
     p.add_argument(

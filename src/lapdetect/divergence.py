@@ -59,6 +59,12 @@ class KlReport:
     violated: bool
 
 
+def _log_ratio(b1: float, b0: float) -> float:
+    """ln(b1/b0); a difference of logs where b1/b0 is no normal finite float."""
+    r = b1 / b0
+    return math.log(r) if 2.0**-1022 <= r < math.inf else math.log(b1) - math.log(b0)
+
+
 def kl_laplace(p0: LaplaceDist, p1: LaplaceDist) -> float:
     """D(p0 || p1) in nats; zero iff the distributions coincide.
 
@@ -66,9 +72,7 @@ def kl_laplace(p0: LaplaceDist, p1: LaplaceDist) -> float:
     the sign of the location shift. Note the divergence is asymmetric in
     its arguments whenever the scales differ.
     """
-    return (
-        math.log(p1.b / p0.b) - 1.0 + p0.mean_abs_dev(p1.mu) / p1.b
-    )
+    return _log_ratio(p1.b, p0.b) - 1.0 + p0.mean_abs_dev(p1.mu) / p1.b
 
 
 def kl_laplace_variant(p0: LaplaceDist, p1: LaplaceDist) -> float:
@@ -88,7 +92,7 @@ def kl_laplace_variant(p0: LaplaceDist, p1: LaplaceDist) -> float:
             f"variant form requires mu1 < mu0, got mu0={p0.mu}, mu1={p1.mu}"
         )
     r = p0.b / p1.b
-    return math.log(p1.b / p0.b) - 1.0 + r * math.exp((p1.mu - p0.mu) / p0.b) + r
+    return _log_ratio(p1.b, p0.b) - 1.0 + r * math.exp((p1.mu - p0.mu) / p0.b) + r
 
 
 def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float:
@@ -116,7 +120,7 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     """
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive, got {tol}")
-    log_scale = math.log(p1.b / p0.b)
+    log_scale = _log_ratio(p1.b, p0.b)
     mu0, mu1 = p0.mu, p1.mu
     ib0, ib1 = 1.0 / p0.b, 1.0 / p1.b
     if not max(ib0, ib1) < math.inf:
@@ -137,7 +141,7 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     if not m < math.inf:
         raise ValueError(
             "cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
-            f"overflows (b1/b0 = {p1.b / p0.b!r}, |mu1 - mu0|/b1 = {(hi - lo) * ib1!r})"
+            f"overflows (b0/b1 = {p0.b * ib1!r}, |mu1 - mu0|/b1 = {(hi - lo) * ib1!r})"
         )
     breaks = [mu0, mu1]
     for k in _LADDER_STEPS:

@@ -2,14 +2,11 @@
 
 Trials are vectorized in fixed-size chunks, each drawn from its own random
 stream keyed by (seed, role, chunk index), where the role is H0 (0) or H1
-(1). One scheduler runs the chunks of both roles, in one list or on one
-thread pool. Chunk boundaries depend only on the trial count, never on the
-worker count, and per-chunk detection counts are integers, so aggregated
-reports are bit-identical no matter how the chunks are scheduled. Threads
-are sufficient for parallelism here because the bulk sampling work happens
-inside numpy. ``LaplaceDist._count`` makes every reported count: it counts
-detections on the draws' integer lattice, transforming only the draws next
-to a threshold, and passes those through the float release arithmetic the
+(1). Each role's chunks are counted in chunk order on the calling thread;
+``workers`` starts no threads and leaves every report bit-identical.
+``LaplaceDist._count`` makes every reported count: it counts detections on
+the draws' integer lattice, transforming only the draws next to a
+threshold, and passes those through the float release arithmetic the
 attack pipeline simulates. A trace's arrays are formed after the count.
 """
 
@@ -18,7 +15,6 @@ from __future__ import annotations
 import io
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -49,8 +45,7 @@ __all__ = [
     "GRID_CSV_HEADER",
 ]
 
-# Trials per random stream. Fixing this constant is what makes reports
-# independent of the worker count; changing it changes sampled values.
+# Trials per random stream. Changing this constant changes sampled values.
 _CHUNK = 1 << 16
 
 # role (H0 vs H1 run) is packed above the chunk index in the stream id.
@@ -144,9 +139,9 @@ def _chunks(sim: SimConfig, role: int) -> list[tuple[RngStream, int]]:
 def _simulate(
     sim: SimConfig, noise: Sequence[LaplaceDist], q: float, x_a: float, workers: int
 ) -> SimReport:
-    """Score the calibrated test on every chunk of both roles: role r counts
-    the residuals ((q + x) + shift) - q of draws x of ``noise[r]``, where the
-    shift is 0 under H0 and ``x_a`` under H1.
+    """Score the calibrated test on every chunk of both roles, in chunk order:
+    role r counts the residuals ((q + x) + shift) - q of draws x of
+    ``noise[r]``, where the shift is 0 under H0 and ``x_a`` under H1.
 
     Raises:
         ValueError: If an extreme draw, release or residual leaves the float
@@ -161,20 +156,11 @@ def _simulate(
     if workers < 1:
         raise ValueError(f"need at least one worker, got workers={workers}")
     lo, hi = (sim.cfg.mu0 + t for t in _region(test.direction, test.offset))
-
-    def run(task: tuple[int, RngStream, int]) -> int:
-        role, stream, m = task
-        return noise[role]._count(stream, m, lo, hi, q, shifts[role])
-
-    tasks = [(role, *chunk) for role in (0, 1) for chunk in _chunks(sim, role)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            hits = list(pool.map(run, tasks))
-    else:
-        hits = [run(t) for t in tasks]
     n = sim.n_trials
-    alpha_hat = sum(hits[: len(hits) // 2]) / n
-    power_hat = sum(hits[len(hits) // 2 :]) / n
+    alpha_hat, power_hat = (
+        sum(noise[r]._count(stream, m, lo, hi, q, shifts[r]) for stream, m in _chunks(sim, r)) / n
+        for r in (0, 1)
+    )
     alpha_closed = test.size()
     power_closed = test.power(sim.attack)
     hw_alpha = _half_width(alpha_hat, n)
@@ -198,7 +184,8 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
 
     Runs n_trials residuals under H0 (no attack) and n_trials under H1
     (bias injected, scale inflated by theta), counting detections with the
-    calibrated test. Deterministic per seed regardless of ``workers``.
+    calibrated test. Deterministic per seed. ``workers`` must be at least 1
+    and starts no threads; it is kept for compatibility.
     """
     return _simulate(sim, hypothesis_pair(sim.cfg, sim.attack), 0.0, 0.0, workers)
 
@@ -217,6 +204,7 @@ def run_attack_experiment(
     lattice, like :func:`estimate_error_rates`. With ``trace=True`` also
     returns the per-trial releases, residuals and decisions, formed after
     the count from the same chunk streams (memory scales with n_trials).
+    ``workers`` is checked as in :func:`estimate_error_rates`.
 
     Raises:
         ValueError: If the dataset bound disagrees with the configured
@@ -268,6 +256,7 @@ def run_grid(
 
     Each cell gets an independent seed derived from (seed, cell index), so
     results do not depend on how cells are batched or ordered by callers.
+    Cells run one after another; ``workers`` starts no threads.
     """
     if grid is None:
         grid = default_grid()

@@ -29,7 +29,7 @@ from lapdetect import (
     roc_curve,
     write_roc_csv,
 )
-from oracles import laplace_shift_auc, left_mass, outside_mass, right_mass
+from oracles import laplace_shift_auc, left_mass, np_region, outside_mass, right_mass
 
 RIGHT, LEFT, TWO = TailDirection.RIGHT, TailDirection.LEFT, TailDirection.TWO_SIDED
 
@@ -560,6 +560,48 @@ class TestSizePowerAgainstQuadrature:
             assert t2.power(attack) == pytest.approx(
                 outside_mass(h1, t2.k1, t2.k2), abs=1e-8
             )
+
+
+class TestMostPowerfulRegion:
+    """The paper's best critical region against the three test shapes, at s = eps = 1."""
+
+    DMUS, ALPHAS = (0.25, 1.0, 4.0), (0.01, 0.05, 0.1, 0.3)
+
+    @staticmethod
+    def _case(theta, dmu):
+        cfg, attack = MechanismConfig(s=1.0, eps=1.0, theta=theta), AttackSpec(dmu)
+        return cfg, attack, hypothesis_pair(cfg, attack)
+
+    # alpha = 0.005 at dmu 4 lies below 1/2 e^-4, on the flat top of the ratio.
+    @pytest.mark.parametrize("dmu", DMUS)
+    @pytest.mark.parametrize("alpha", (*ALPHAS, 0.005))
+    def test_right_tail_is_most_powerful_without_inflation(self, dmu, alpha):
+        cfg, attack, (p0, p1) = self._case(1.0, dmu)
+        power = DetectionTest.from_alpha(alpha, cfg, RIGHT).power(attack)
+        assert power == pytest.approx(np_region(alpha, p0, p1)[2], abs=1e-12)
+
+    @pytest.mark.parametrize("theta", (1.5, 2.0, 3.0, 5.0))
+    @pytest.mark.parametrize("dmu", DMUS)
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_no_calibrated_test_beats_the_region(self, theta, dmu, alpha):
+        cfg, attack, (p0, p1) = self._case(theta, dmu)
+        best = np_region(alpha, p0, p1)[2]
+        for direction in TailDirection:
+            assert DetectionTest.from_alpha(alpha, cfg, direction).power(attack) <= best + 1e-12
+
+    @pytest.mark.parametrize(
+        "theta, dmu, alpha, best, right, two",
+        [(2.0, 1.0, 0.3, 0.6674, 0.6085, 0.6176), (5.0, 1.0, 0.05, 0.5630, 0.3853, 0.5603)],
+    )
+    def test_unequal_tails_win_past_theta_one(self, theta, dmu, alpha, best, right, two):
+        # Powers found by a brute-force scan over the split of alpha between the tails.
+        cfg, attack, (p0, p1) = self._case(theta, dmu)
+        a, k, power = np_region(alpha, p0, p1)
+        assert power == pytest.approx(best, abs=5e-5)
+        assert k - cfg.mu0 != cfg.mu0 - a  # unequal tails
+        for direction, expected in ((RIGHT, right), (TWO, two)):
+            got = DetectionTest.from_alpha(alpha, cfg, direction).power(attack)
+            assert got == pytest.approx(expected, abs=5e-5)
 
 
 class TestRocCsv:

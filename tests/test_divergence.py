@@ -175,7 +175,7 @@ class TestKlQuadrature:
             (LaplaceDist(0.0, 0.1), LaplaceDist(1e308, 0.1), "|mu1 - mu0|/b1 = inf"),
             (LaplaceDist(0.0, 1e-200), LaplaceDist(1e200, 1e-200), "|mu1 - mu0|/b1 = inf"),
             (LaplaceDist(1e308, 1.0), LaplaceDist(-1e308, 2.0), "|mu1 - mu0|/b1 = inf"),
-            (LaplaceDist(0.0, 1e-300), LaplaceDist(1.0, 1e300), "b1/b0 = inf"),
+            (LaplaceDist(0.0, 1e300), LaplaceDist(0.0, 1e-300), "b0/b1 = inf"),
         ],
     )
     def test_overflowing_bound_is_rejected_before_integrating(self, monkeypatch, p0, p1, what):
@@ -251,6 +251,49 @@ class TestKlQuadrature:
             mu, b = rng.uniform(-5.0, 5.0, 2), rng.uniform(0.2, 5.0, 2)
             kl_quadrature(LaplaceDist(mu[0], b[0]), LaplaceDist(mu[1], b[1]), tol)
         assert seen == [(630, 30)] * 200
+
+
+class TestScaleRatioBeyondDoubleRange:
+    """b1/b0 = 1e-600 or 1e600 is no double, but its log is; inputs whose
+    ratio is a normal double keep the log of the ratio itself."""
+
+    WIDE, NARROW = LaplaceDist(0.0, 1e300), LaplaceDist(0.0, 1e-300)
+    LOG_RATIO = math.log(1e300) - math.log(1e-300)  # ~1381.55
+
+    def test_kl_laplace(self):
+        # D(narrow || wide) = ln(b1/b0) - 1 + (b0/b1), about 1380.55; the
+        # other way round (b0/b1) e^0 = 1e600 makes D = inf, as it is.
+        assert kl_laplace(self.NARROW, self.WIDE) == pytest.approx(self.LOG_RATIO - 1.0, rel=1e-15)
+        assert kl_laplace(self.WIDE, self.NARROW) == math.inf
+
+    def test_kl_quadrature(self):
+        # The narrow-to-wide integral is finite and meets the closed form;
+        # wide-to-narrow is rejected as unbounded (b0/b1 = inf), see above.
+        for mu1 in (0.0, 1.0):
+            p1 = LaplaceDist(mu1, 1e300)
+            assert kl_quadrature(self.NARROW, p1) == pytest.approx(
+                kl_laplace(self.NARROW, p1), rel=1e-12
+            )
+        with pytest.raises(ValueError, match=r"b0/b1 = inf"):
+            kl_quadrature(self.WIDE, self.NARROW)
+
+    def test_kl_laplace_variant(self):
+        # mu1 = mu0 - 1: e^(-1/b0) is 1 on the wide side and 0 on the narrow.
+        narrow_to_wide = kl_laplace_variant(self.NARROW, LaplaceDist(-1.0, 1e300))
+        assert narrow_to_wide == pytest.approx(self.LOG_RATIO - 1.0, rel=1e-15)
+        assert kl_laplace_variant(self.WIDE, LaplaceDist(-1.0, 1e-300)) == math.inf
+
+    @pytest.mark.parametrize(
+        "b0, b1", [(1.0, 2.0), (0.2, 5.0), (1e-300, 1e-10), (1e300, 1e10), (1.0, 2.0**-1022)]
+    )
+    def test_normal_ratio_keeps_the_log_of_the_ratio(self, b0, b1):
+        assert divergence._log_ratio(b1, b0) == math.log(b1 / b0)
+
+    def test_subnormal_ratio_keeps_its_precision(self):
+        # 1e-200 / 1e120 = 1e-320 is subnormal and holds about 11 bits.
+        assert divergence._log_ratio(1e-200, 1e120) == pytest.approx(
+            -320.0 * math.log(10.0), rel=1e-15
+        )
 
 
 class TestKlDpCheck:

@@ -2,6 +2,7 @@
 
 import json
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -78,7 +79,7 @@ class TestEstimateErrorRates:
         assert a == b
 
     def test_deterministic_across_worker_counts(self):
-        # Chunked streams make the report independent of thread fan-out.
+        # Chunked streams make the report independent of ``workers``.
         a = estimate_error_rates(_sim(), workers=1)
         b = estimate_error_rates(_sim(), workers=4)
         c = estimate_error_rates(_sim(), workers=8)
@@ -112,6 +113,29 @@ class TestEstimateErrorRates:
         for call in calls:
             with pytest.raises(ValueError, match="worker"):
                 call()
+
+
+def test_workers_count_every_chunk_in_order_on_the_calling_thread(monkeypatch):
+    # ``workers`` starts no threads: at workers=4 every count is made here,
+    # role 0's chunks first, each role's in chunk order.
+    calls = []
+    count = LaplaceDist._count
+
+    def recording_count(self, rng, *args):
+        calls.append((threading.get_ident(), rng.stream_id))
+        return count(self, rng, *args)
+
+    monkeypatch.setattr(LaplaceDist, "_count", recording_count)
+    sim = _sim(n_trials=3 * (1 << 16) + 5)
+    data = Dataset(records=(0.5,), bound=1.0)
+    expected = [(threading.get_ident(), r << 48 | c) for r in (0, 1) for c in range(4)]
+    for run in (
+        lambda: estimate_error_rates(sim, workers=4),
+        lambda: run_attack_experiment(data, sim, workers=4),
+    ):
+        calls.clear()
+        run()
+        assert calls == expected
 
 
 class TestRunAttackExperiment:

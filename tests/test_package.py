@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -42,12 +43,17 @@ def test_version_matches_pyproject():
     assert lapdetect.__version__ == match.group(1)
 
 
+def _bench_trees():
+    """(path, syntax tree) of each of the benchmark's sources."""
+    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
+        yield path, ast.parse(path.read_text(), str(path))
+
+
 def _bench_names() -> set[str]:
     """Each X of ``from lapdetect import X`` and of ``ld.X``, where ``ld`` is
     an alias of lapdetect, in the benchmark's sources."""
     names = set()
-    for path in sorted((Path(__file__).resolve().parents[1] / "bench").glob("*.py")):
-        tree = ast.parse(path.read_text(), str(path))
+    for _, tree in _bench_trees():
         aliases = {
             a.asname or a.name
             for node in ast.walk(tree) if isinstance(node, ast.Import)
@@ -65,15 +71,84 @@ def _bench_names() -> set[str]:
     return names
 
 
+def _resolve(name: str):
+    """``lapdetect.<name>``, or the submodule of that name, such as cli."""
+    if hasattr(lapdetect, name):
+        return getattr(lapdetect, name)
+    return importlib.import_module(f"lapdetect.{name}")
+
+
 def test_every_name_the_benchmark_uses_resolves():
     # Only the traced benchmark run would otherwise notice a dropped name.
     names = _bench_names()
     assert names
     missing = []
     for name in sorted(names):
-        if not hasattr(lapdetect, name):
-            try:
-                importlib.import_module(f"lapdetect.{name}")  # a submodule, such as cli
-            except ModuleNotFoundError:
-                missing.append(name)
+        try:
+            _resolve(name)
+        except ModuleNotFoundError:
+            missing.append(name)
     assert missing == [], missing
+
+
+def _dotted(node) -> str | None:
+    """The dotted name of a chain of attributes on a plain name, else None."""
+    if isinstance(node, ast.Attribute):
+        base = _dotted(node.value)
+        return base and f"{base}.{node.attr}"
+    return node.id if isinstance(node, ast.Name) else None
+
+
+def _bench_calls():
+    """(where, target, call) for each call in the benchmark's sources whose
+    callee is a lapdetect object: ``ld.X(...)`` with ``ld`` an alias of
+    lapdetect, ``X(...)`` after ``from lapdetect import X``, ``self.X(...)``
+    after ``self.X = X``, and attributes of these, such as ``ld.X.from_alpha``."""
+    for path, tree in _bench_trees():
+        roots = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                aliases = (a.asname or a.name for a in node.names if a.name == "lapdetect")
+                roots.update((alias, lapdetect) for alias in aliases)
+            elif isinstance(node, ast.ImportFrom) and node.module == "lapdetect":
+                roots.update((a.asname or a.name, _resolve(a.name)) for a in node.names)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign) and len(node.targets) == 1:
+                target, value = node.targets[0], node.value
+                pairs = (
+                    zip(target.elts, value.elts)
+                    if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple)
+                    else [(target, value)]
+                )
+                for t, v in pairs:
+                    if _dotted(t) and _dotted(v) in roots:
+                        roots[_dotted(t)] = roots[_dotted(v)]
+        for node in ast.walk(tree):
+            name = isinstance(node, ast.Call) and _dotted(node.func)
+            if not name:
+                continue
+            parts = name.split(".")
+            for i in range(len(parts), 0, -1):
+                if ".".join(parts[:i]) in roots:
+                    target = roots[".".join(parts[:i])]
+                    for attr in parts[i:]:
+                        target = getattr(target, attr)
+                    yield f"{path.name}:{node.lineno} {name}", target, node
+                    break
+
+
+def test_every_call_the_benchmark_makes_binds():
+    # A dropped keyword, such as workers=, would otherwise first show as a
+    # failed benchmark run.
+    calls = list(_bench_calls())
+    keywords = {(t, k.arg) for _, t, c in calls for k in c.keywords}
+    assert (lapdetect.run_grid, "workers") in keywords
+    unbound = []
+    for where, target, call in calls:
+        args = () if any(isinstance(a, ast.Starred) for a in call.args) else call.args
+        kwargs = {k.arg: None for k in call.keywords if k.arg is not None}
+        try:
+            inspect.signature(target).bind_partial(*(None for _ in args), **kwargs)
+        except TypeError as exc:
+            unbound.append(f"{where}: {exc}")
+    assert unbound == [], unbound
