@@ -4,15 +4,17 @@ Cells are rendered by type: floats (and ints) at 17 significant digits,
 which round-trip every double, booleans as ``true``/``false``, and None as
 an empty cell. No cell, and no fixed header, holds a comma, quote or line
 break, so a line is its cells joined by commas plus ``\\n``, unquoted: the
-text ``csv.writer`` would write. Targets are a path, opened and closed here,
-or an open text stream, which is left open.
+text ``csv.writer`` would write. Every line comes from one ``%`` template
+built from each column's types: ``%.17g`` (``format(x, ".17g")``) for floats
+only, nothing for None only, else ``%s`` over cells rendered one by one.
+Targets are a path, opened and closed here, or an open text stream, which is
+left open.
 """
 
 from __future__ import annotations
 
 import io
 import sys
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -24,16 +26,6 @@ def _cell(value) -> str:
     if isinstance(value, bool) or np is not None and isinstance(value, np.bool_):
         return "true" if value else "false"
     return format(value, ".17g")
-
-
-def _column(values: tuple) -> list[str]:
-    # Rendering a whole all-float or all-None column in bulk keeps the
-    # per-cell work out of Python frames; ROC curves are 4,000 cells each.
-    if set(map(type, values)) == {float}:
-        return list(map(format, values, repeat(".17g")))
-    if values.count(None) == len(values):
-        return [""] * len(values)
-    return list(map(_cell, values))
 
 
 def write_csv(
@@ -55,5 +47,16 @@ def write_csv(
         return
     if not append or not out.seekable() or out.tell() == 0:
         out.write(",".join(header) + "\n")
-    lines = map(",".join, zip(*map(_column, zip(*rows))))
-    out.writelines(map("{}\n".format, lines))
+    rows = list(rows)
+    fields, cells = [], []
+    for values in zip(*rows):
+        if set(map(type, values)) == {float}:
+            fields.append("%.17g")
+            cells.append(values)
+        elif values.count(None) < len(values):
+            fields.append("%s")
+            cells.append(list(map(_cell, values)))
+        else:
+            fields.append("")
+    template = ",".join(fields) + "\n"
+    out.writelines(map(template.__mod__, zip(*cells) if cells else [()] * len(rows)))

@@ -4,7 +4,7 @@ Subcommands
     threshold   critical-region threshold(s) for a requested size
     power       detection probability of the calibrated test
     roc         alpha sweep written as a CSV ROC curve
-    interval    detectable-bias interval from (alpha, power)
+    interval    detectable-bias interval from (alpha, beta_bar)
     kl          divergence report with the e^eps admissibility bound
     kl-sweep    divergence vs privacy budget grid, written as CSV
     simulate    Monte Carlo validation of the closed forms (JSON report)
@@ -241,9 +241,15 @@ def _build_parser() -> argparse.ArgumentParser:
     _mech_args(p, theta_default=1.5)
     p.set_defaults(handler=_cmd_roc)
 
-    p = sub.add_parser("interval", help="detectable-bias interval from (alpha, power)")
+    p = sub.add_parser("interval", help="detectable-bias interval from (alpha, beta_bar)")
     p.add_argument("--alpha", type=float, required=True)
-    p.add_argument("--beta-bar", type=float, required=True, help="test power in (0, 1]")
+    p.add_argument(
+        "--beta-bar",
+        type=float,
+        required=True,
+        help="in (0, 1]; not a power: at dmu = hi, H1 has mass beta_bar/2 below the "
+        "two-sided test's upper threshold (at lo, above the lower one)",
+    )
     _mech_args(p)
     p.set_defaults(handler=_cmd_interval)
 

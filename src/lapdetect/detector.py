@@ -21,7 +21,8 @@ against 0.608 right-tail and 0.618 two-sided.
 A critical region is held once, as its offset from mu0 in the units of z;
 calibration, sizes and powers work in the frame centred on mu0, where H0 =
 Lap(0, b0) and H1 = Lap(x_a, b1), so a large mu0 costs them no precision.
-An ROC curve builds H0 and H1 once and size-checks every point to 1e-12.
+An ROC curve is computed column by column with the helpers a DetectionTest
+calls on one-element lists, and every point is size-checked to 1e-12.
 """
 
 from __future__ import annotations
@@ -30,12 +31,11 @@ import io
 import math
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter
+from itertools import repeat
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import _csv
-from .laplace import LaplaceDist
 from .mechanism import AttackSpec, MechanismConfig, hypothesis_pair
 
 if TYPE_CHECKING:
@@ -77,24 +77,27 @@ class Decision(Enum):
     NOT_DETECTED = "not-detected"
 
 
-def _calibrate(alpha: float, b0: float, direction: TailDirection) -> float:
-    """Offset from mu0 of the size-alpha critical region, in units of z.
+def _offsets(alphas: list[float], b0: float, direction: TailDirection) -> list[float]:
+    """Offsets from mu0 of the size-alpha critical regions, in units of z.
 
     One-sided: the signed threshold offset, a quantile of H0 = Lap(0, b0).
     Two-sided: the half-width -b0 ln(alpha) >= 0, alpha/2 beyond each end.
     """
+    log = math.log
     if not direction.one_sided:
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(
-                f"size must lie in (0, 1] (log alpha diverges at 0), got alpha={alpha}"
-            )
-        return -(b0 * math.log(alpha))
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"size must lie strictly in (0, 1), got alpha={alpha}")
+        for a in alphas:
+            if not 0.0 < a <= 1.0:
+                raise ValueError(
+                    f"size must lie in (0, 1] (log alpha diverges at 0), got alpha={a}"
+                )
+        return [-(b0 * log(a)) for a in alphas]
+    for a in alphas:
+        if not 0.0 < a < 1.0:
+            raise ValueError(f"size must lie strictly in (0, 1), got alpha={a}")
     # The alpha quantile of Lap(0, 1): exact log arguments on both branches,
     # which meet at 0 bitwise at alpha = 0.5.
-    q = math.log(2.0 * alpha) if alpha < 0.5 else -math.log(2.0 * (1.0 - alpha))
-    return b0 * q if direction is TailDirection.LEFT else -b0 * q
+    scale = b0 if direction is TailDirection.LEFT else -b0
+    return [scale * (log(2.0 * a) if a < 0.5 else -log(2.0 * (1.0 - a))) for a in alphas]
 
 
 def _region(direction: TailDirection, offset: float) -> tuple[float, float]:
@@ -104,24 +107,36 @@ def _region(direction: TailDirection, offset: float) -> tuple[float, float]:
     return (-math.inf if direction.one_sided else -offset), offset
 
 
-def _mass(dist: LaplaceDist, lo: float, hi: float) -> float:
-    """Mass of ``dist``, centred on mu0, below lo plus above hi (inf adds 0)."""
-    return dist.cdf(lo) + dist.survival(hi)
+def _masses(offsets: list[float], direction: TailDirection, mu: float, b: float) -> list[float]:
+    """Mass of Lap(mu, b), centred on mu0, in each offset's critical region.
+
+    ``LaplaceDist.cdf`` at lo plus ``LaplaceDist.survival`` at hi, in their
+    float expressions; an infinite end adds exactly 0.0, so it is skipped.
+    """
+    exp = math.exp
+    if direction is TailDirection.LEFT:
+        return [t if o < mu else 1.0 - t for o in offsets for t in (0.5 * exp(-abs(o - mu) / b),)]
+    if direction is TailDirection.RIGHT:
+        return [t if o > mu else 1.0 - t for o in offsets for t in (0.5 * exp(-abs(o - mu) / b),)]
+    return [
+        (t if -o < mu else 1.0 - t) + (u if o > mu else 1.0 - u)
+        for o in offsets
+        for t, u in ((0.5 * exp(-abs(-o - mu) / b), 0.5 * exp(-abs(o - mu) / b)),)
+    ]
 
 
-def _checked_region(
-    h0: LaplaceDist, direction: TailDirection, alpha: float, offset: float
-) -> tuple[float, float]:
-    """``_region(direction, offset)``, once DetectionTest's invariants hold for it."""
-    if not math.isfinite(offset):
-        raise ValueError(f"threshold offset must be finite, got {offset}")
-    if offset < 0.0 and not direction.one_sided:
-        raise ValueError(f"two-sided half-width must be >= 0, got {offset}")
-    lo, hi = _region(direction, offset)
-    size = _mass(h0, lo, hi)
-    if abs(size - alpha) > _SIZE_ATOL:
-        raise ValueError(f"threshold(s) give size {size}, which is not alpha={alpha}")
-    return lo, hi
+def _check(direction: TailDirection, alphas: list[float], offsets: list[float], b0: float):
+    """Raise unless each offset is finite (and >= 0 two-sided) and has size alpha."""
+    if not all(map(math.isfinite, offsets)):
+        bad = next(o for o in offsets if not math.isfinite(o))
+        raise ValueError(f"threshold offset must be finite, got {bad}")
+    if not direction.one_sided and min(offsets) < 0.0:
+        bad = next(o for o in offsets if o < 0.0)
+        raise ValueError(f"two-sided half-width must be >= 0, got {bad}")
+    atol = _SIZE_ATOL
+    for size, alpha in zip(_masses(offsets, direction, 0.0, b0), alphas):
+        if not abs(size - alpha) <= atol:  # a NaN alpha fails too
+            raise ValueError(f"threshold(s) give size {size}, which is not alpha={alpha}")
 
 
 def likelihood_ratio(
@@ -162,15 +177,14 @@ class DetectionTest:
     offset: float
 
     def __post_init__(self):
-        h0 = LaplaceDist(0.0, self.cfg.b0)
-        _checked_region(h0, self.direction, self.alpha, self.offset)
+        _check(self.direction, [self.alpha], [self.offset], self.cfg.b0)
 
     @classmethod
     def from_alpha(
         cls, alpha: float, cfg: MechanismConfig, direction: TailDirection
     ) -> "DetectionTest":
         """Calibrate the critical region for a requested size."""
-        return cls(direction, alpha, cfg, _calibrate(alpha, cfg.b0, direction))
+        return cls(direction, alpha, cfg, _offsets([alpha], cfg.b0, direction)[0])
 
     @property
     def k1(self) -> float:
@@ -186,13 +200,11 @@ class DetectionTest:
 
     def size(self) -> float:
         """False-alarm probability: null mass of the critical region."""
-        h0 = LaplaceDist(0.0, self.cfg.b0)
-        return _mass(h0, *_region(self.direction, self.offset))
+        return _masses([self.offset], self.direction, 0.0, self.cfg.b0)[0]
 
     def power(self, attack: AttackSpec) -> float:
         """Detection probability: alternative mass of the critical region."""
-        h1 = LaplaceDist(attack.x_a, self.cfg.b1)
-        return _mass(h1, *_region(self.direction, self.offset))
+        return _masses([self.offset], self.direction, attack.x_a, self.cfg.b1)[0]
 
 
 def kappa(test: DetectionTest, attack: AttackSpec) -> float:
@@ -231,8 +243,7 @@ def _detected(z: float | np.ndarray, test: DetectionTest) -> bool | np.ndarray:
     return (z > test.cfg.mu0 + hi) | (z < test.cfg.mu0 + lo)
 
 
-@dataclass(frozen=True)
-class RocPoint:
+class RocPoint(NamedTuple):
     """One operating point: size, threshold(s), and power.
 
     One-sided curves store the single threshold in k1 and leave k2 None.
@@ -275,31 +286,30 @@ def roc_curve(
 
     The default 999-point grid samples alpha = 0.001 ... 0.999; AUC is the
     trapezoid rule over the grid augmented with the limit endpoints (0,0)
-    and (1,1). H0 and H1 are built once; each point is size-checked to 1e-12
-    and equals ``DetectionTest.from_alpha``'s threshold(s) and power.
+    and (1,1). Each point is size-checked to 1e-12 and equals
+    ``DetectionTest.from_alpha``'s threshold(s) and power bit for bit.
     """
     if grid < 2:
         raise ValueError(f"ROC grid needs at least 2 points, got {grid}")
-    b0, mu0, one_sided = cfg.b0, cfg.mu0, direction.one_sided
-    h0, h1 = LaplaceDist(0.0, b0), LaplaceDist(attack.x_a, cfg.b1)
-    points = []
-    for i in range(1, grid + 1):
-        alpha = i / (grid + 1)
-        offset = _calibrate(alpha, b0, direction)
-        lo, hi = _checked_region(h0, direction, alpha, offset)
-        k2 = None if one_sided else mu0 - offset
-        points.append(RocPoint(alpha, mu0 + offset, k2, _mass(h1, lo, hi)))
-    xs = [0.0, *(p.alpha for p in points), 1.0]
-    ys = [0.0, *(p.power for p in points), 1.0]
+    b0, mu0 = cfg.b0, cfg.mu0
+    alphas = [i / (grid + 1) for i in range(1, grid + 1)]
+    offsets = _offsets(alphas, b0, direction)
+    _check(direction, alphas, offsets, b0)
+    powers = _masses(offsets, direction, attack.x_a, cfg.b1)
+    k1s = [mu0 + o for o in offsets]
+    k2s = repeat(None) if direction.one_sided else [mu0 - o for o in offsets]
+    points = tuple(map(RocPoint, alphas, k1s, k2s, powers))
+    xs = [0.0, *alphas, 1.0]
+    ys = [0.0, *powers, 1.0]
     auc = math.fsum(
         0.5 * (y1 + y2) * (x2 - x1) for x1, x2, y1, y2 in zip(xs, xs[1:], ys, ys[1:])
     )
-    return RocCurve(direction=direction, points=tuple(points), auc=min(auc, 1.0))
+    return RocCurve(direction=direction, points=points, auc=min(auc, 1.0))
 
 
 @dataclass(frozen=True)
 class BiasInterval:
-    """Symmetric interval of biases, (s/eps) log(alpha power^theta) on each side."""
+    """Symmetric interval of biases, (s/eps) log(alpha beta_bar^theta) on each side."""
 
     lo: float
     hi: float
@@ -308,10 +318,13 @@ class BiasInterval:
 def bias_interval(
     alpha: float, beta_bar: float, cfg: MechanismConfig
 ) -> BiasInterval:
-    """Interval for the bias implied by a two-sided test of size alpha, power beta_bar.
+    """Interval for the bias from the two-sided size-alpha test and beta_bar in (0, 1].
 
     lo = (s/eps)(ln alpha + theta ln beta_bar), finite where beta_bar^theta
     underflows, and hi = -lo; degenerates to (0, 0) at alpha = beta_bar = 1.
+    At x_a = hi, Lap(x_a, b1) has mass exactly beta_bar/2 below the test's
+    upper threshold offset h = -b0 ln alpha (at lo, above -h), so the test's
+    power at either end is 1 - beta_bar/2 + (1/2) e^(-(hi + h)/b1), not beta_bar.
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(
@@ -330,5 +343,4 @@ def write_roc_csv(curve: RocCurve, out: str | Path | io.TextIOBase) -> None:
 
     One-sided curves leave the k2 column empty.
     """
-    header = ["alpha", "k1", "k2", "power"]
-    _csv.write_csv(out, header, map(attrgetter(*header), curve.points))
+    _csv.write_csv(out, RocPoint._fields, curve.points)

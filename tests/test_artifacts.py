@@ -10,12 +10,16 @@ import csv
 import io
 import os
 
+import numpy as np
 import pytest
 
 from lapdetect import (
     AttackSpec,
     MechanismConfig,
+    RocCurve,
+    RocPoint,
     TailDirection,
+    _csv,
     kl_sweep,
     roc_curve,
     run_grid,
@@ -120,3 +124,54 @@ class TestGridCsv:
         with open(read_fd) as reader:
             text = reader.read()
         assert text == ",".join(self.HEADER) + "\n" + self._body(rows)
+
+
+class TestSink:
+    """Rows every column template must keep: empty, None-only, mixed types."""
+
+    HEADER = ["a", "b", "c"]
+
+    def test_zero_rows_give_the_header_only(self):
+        buf = io.StringIO()
+        _csv.write_csv(buf, self.HEADER, [])
+        assert buf.getvalue() == _render(self.HEADER, [])
+
+    def test_all_none_rows(self):
+        buf = io.StringIO()
+        _csv.write_csv(buf, self.HEADER, [(None, None, None), (None, None, None)])
+        assert buf.getvalue() == _render(self.HEADER, [["", "", ""], ["", "", ""]])
+
+    def test_int_numpy_float_and_numpy_bool_cells(self):
+        rows = [
+            (3, np.float64(0.1), np.bool_(True)),
+            (-7, np.float64(-2.5e-300), np.bool_(False)),
+        ]
+        buf = io.StringIO()
+        _csv.write_csv(buf, self.HEADER, rows)
+        expected = _render(
+            self.HEADER, [[_g(i), _g(x), _flag(bool(b))] for i, x, b in rows]
+        )
+        assert buf.getvalue() == expected
+        assert expected.splitlines()[1:] == ["3,0.10000000000000001,true", "-7,-2.5e-300,false"]
+
+    def test_k2_column_mixing_none_and_floats(self):
+        points = (RocPoint(0.25, 1.5, None, 0.5), RocPoint(0.5, 0.75, -0.75, 0.625))
+        curve = RocCurve(TailDirection.TWO_SIDED, points, 0.5)
+        buf = io.StringIO()
+        write_roc_csv(curve, buf)
+        expected = _render(
+            ["alpha", "k1", "k2", "power"],
+            [[_g(0.25), _g(1.5), "", _g(0.5)], [_g(0.5), _g(0.75), _g(-0.75), _g(0.625)]],
+        )
+        assert buf.getvalue() == expected
+
+    def test_append_to_a_non_empty_stream(self):
+        first, second = [(0.1, None, True)], [(1 / 3, -0.0, False), (1e308, None, True)]
+        buf = io.StringIO()
+        _csv.write_csv(buf, self.HEADER, first, append=True)
+        _csv.write_csv(buf, self.HEADER, second, append=True)
+        expected = _render(
+            self.HEADER,
+            [[_g(x), "" if y is None else _g(y), _flag(b)] for x, y, b in first + second],
+        )
+        assert buf.getvalue() == expected

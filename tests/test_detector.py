@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from lapdetect import (
@@ -349,6 +349,12 @@ class TestDetectionTest:
         with pytest.raises(ValueError, match="size"):
             DetectionTest(direction=RIGHT, alpha=0.2, cfg=UNIT, offset=1.0)
 
+    @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
+    def test_nan_alpha_rejected(self, direction):
+        # |size - nan| > tol is False, so the size check must not be phrased that way.
+        with pytest.raises(ValueError, match="is not alpha=nan"):
+            DetectionTest(direction=direction, alpha=math.nan, cfg=UNIT, offset=1.0)
+
     def test_two_sided_requires_symmetry(self):
         # One half-width is symmetric about mu0 by construction; it must
         # not be negative.
@@ -446,6 +452,14 @@ class TestRocCurve:
         assert curve.points[0].alpha == pytest.approx(0.001)
         assert curve.points[-1].alpha == pytest.approx(0.999)
 
+    # The extremes of every range, each direction, on the 999-point grid
+    # that crosses the alpha = 0.5 branch: run on every run, not by chance.
+    @example(mu0=1e8, s=1e-3, eps=5.0, theta=3.0, x_a=10.0, direction=RIGHT, grid=999)
+    @example(mu0=-1e8, s=1e3, eps=0.01, theta=3.0, x_a=-1e-3, direction=RIGHT, grid=999)
+    @example(mu0=1e8, s=1e-3, eps=5.0, theta=3.0, x_a=-10.0, direction=LEFT, grid=999)
+    @example(mu0=-1e8, s=1e3, eps=0.01, theta=3.0, x_a=1e-3, direction=LEFT, grid=999)
+    @example(mu0=1e8, s=1e-3, eps=5.0, theta=3.0, x_a=1e-3, direction=TWO, grid=999)
+    @example(mu0=-1e8, s=1e3, eps=0.01, theta=3.0, x_a=-10.0, direction=TWO, grid=999)
     @settings(max_examples=40, deadline=None)
     @given(
         mu0=st.floats(0.0, 1e8) | st.floats(-1e8, 0.0),
@@ -491,6 +505,51 @@ class TestRocCurve:
         with pytest.raises(ValueError, match="is not alpha"):
             DetectionTest.from_alpha(0.1, UNIT, direction)
 
+    @pytest.mark.parametrize("direction, bad", [(RIGHT, "inf"), (LEFT, "-inf"), (TWO, "inf")])
+    def test_overflowing_offset_rejected(self, direction, bad):
+        # b0 = 1.7e308 times a log of magnitude above 1.06 leaves the float range.
+        cfg = MechanismConfig(s=1.7e308, eps=1.0)
+        with pytest.raises(ValueError, match=f"threshold offset must be finite, got {bad}$"):
+            roc_curve(cfg, AttackSpec(1.0), direction)
+
+    @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
+    def test_sweep_makes_no_per_point_distribution_calls(self, monkeypatch, direction):
+        # A timing-free guard: the sweep works on columns, so a per-point
+        # slow path through the scalar LaplaceDist tails shows up as calls.
+        calls = []
+        for name in ("cdf", "survival"):
+            method = getattr(LaplaceDist, name)
+
+            def counted(self, z, _method=method):
+                calls.append(z)
+                return _method(self, z)
+
+            monkeypatch.setattr(LaplaceDist, name, counted)
+        curve = roc_curve(UNIT, AttackSpec(1.0), direction, grid=999)
+        assert len(curve.points) == 999
+        assert len(calls) == 0
+
+
+class TestRocPoint:
+    def test_named_tuple_contract(self):
+        p = detector.RocPoint(0.25, 1.5, None, 0.75)
+        assert p == detector.RocPoint(alpha=0.25, k1=1.5, k2=None, power=0.75)
+        assert detector.RocPoint._fields == ("alpha", "k1", "k2", "power")
+        with pytest.raises(AttributeError):
+            p.power = 0.5
+        twin = detector.RocPoint(0.25, 1.5, None, 0.75)
+        assert p == twin and hash(p) == hash(twin)
+        assert p != detector.RocPoint(0.25, 1.5, 0.0, 0.75)
+        # The dataclass repr of earlier versions, unchanged.
+        assert repr(p) == "RocPoint(alpha=0.25, k1=1.5, k2=None, power=0.75)"
+
+    def test_behaves_as_a_tuple_of_its_fields(self):
+        p = detector.RocPoint(0.25, 1.5, -1.5, 0.75)
+        alpha, k1, k2, power = p
+        assert (alpha, k1, k2, power) == p == (0.25, 1.5, -1.5, 0.75)
+        assert p[3] == p.power == 0.75
+        assert p._replace(power=0.5) == (0.25, 1.5, -1.5, 0.5)
+
 
 class TestBiasInterval:
     def test_degenerate_at_ones(self):
@@ -528,6 +587,31 @@ class TestBiasInterval:
                 float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.01, 1.0)), UNIT
             )
             assert iv.lo == -iv.hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        alpha=st.floats(1e-6, 1.0),
+        beta_bar=st.floats(1e-3, 1.0),
+        s=st.floats(1e-3, 1e3),
+        eps=st.floats(0.01, 10.0),
+        theta=st.floats(1.0, 5.0),
+        mu0=st.floats(-1e3, 1e3),
+    )
+    def test_ends_give_half_beta_bar_inside_the_two_sided_thresholds(
+        self, alpha, beta_bar, s, eps, theta, mu0
+    ):
+        # What the interval means: at x_a = hi the attacked residual falls
+        # below the two-sided test's upper threshold h with probability
+        # beta_bar/2 (mirrored at lo), so the power there is not beta_bar.
+        cfg = MechanismConfig(s=s, eps=eps, theta=theta, mu0=mu0)
+        iv = bias_interval(alpha, beta_bar, cfg)
+        t = DetectionTest.from_alpha(alpha, cfg, TWO)
+        h = t.offset
+        assert LaplaceDist(iv.hi, cfg.b1).cdf(h) == pytest.approx(beta_bar / 2, rel=1e-12)
+        assert LaplaceDist(iv.lo, cfg.b1).survival(-h) == pytest.approx(beta_bar / 2, rel=1e-12)
+        power = 1.0 - beta_bar / 2 + 0.5 * math.exp(-(iv.hi + h) / cfg.b1)
+        assert t.power(AttackSpec(iv.hi)) == pytest.approx(power, rel=1e-12)
+        assert t.power(AttackSpec(iv.lo)) == pytest.approx(power, rel=1e-12)
 
     @pytest.mark.parametrize("alpha,beta_bar", [(0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (0.5, 1.2)])
     def test_domain(self, alpha, beta_bar):
