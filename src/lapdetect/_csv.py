@@ -3,12 +3,12 @@
 Cells are rendered by type: floats (and ints) at 17 significant digits,
 which round-trip every double, booleans as ``true``/``false``, and None as
 an empty cell. No cell, and no fixed header, holds a comma, quote or line
-break, so a line is its cells joined by commas plus ``\\n``, unquoted: the
-text ``csv.writer`` would write. Every line comes from one ``%`` template
-built from each column's types: ``%.17g`` (``format(x, ".17g")``) for floats
-only, nothing for None only, else ``%s`` over cells rendered one by one.
-Targets are a path, opened and closed here, or an open text stream, which is
-left open.
+break, so a line is its cells joined by commas plus ``\\n``, unquoted, and
+a lone empty cell is ``""``: the text ``csv.writer`` would write. Every
+line comes from one ``%`` template built from each column's types:
+``%.17g`` (``format(x, ".17g")``) for floats only, nothing for None only,
+else ``%s`` over cells rendered one by one. Targets are a path, opened and
+closed here, or an open text stream, which is left open.
 """
 
 from __future__ import annotations
@@ -59,4 +59,7 @@ def write_csv(
         else:
             fields.append("")
     template = ",".join(fields) + "\n"
-    out.writelines(map(template.__mod__, zip(*cells) if cells else [()] * len(rows)))
+    lines = map(template.__mod__, zip(*cells) if cells else [()] * len(rows))
+    if len(header) == 1:  # an empty line would read back as no row at all
+        lines = ['""\n' if line == "\n" else line for line in lines]
+    out.writelines(lines)

@@ -144,14 +144,25 @@ def _cmd_kl(args: argparse.Namespace) -> int:
     return 0
 
 
+def _linspace(start: float, stop: float, count: int) -> list[float]:
+    """``numpy.linspace(start, stop, count).tolist()`` to the last bit, without numpy."""
+    if count < 0:
+        raise ValueError(f"Number of samples, {count}, must be non-negative.")
+    div, delta = count - 1, stop - start
+    if div < 1:
+        return [0.0 * delta + start] * count
+    step = delta / div  # where it underflows to 0, numpy scales i / div by delta
+    grid = [i / div * delta + start if step == 0 else i * step + start for i in range(div)]
+    return grid + [stop]
+
+
 def _cmd_kl_sweep(args: argparse.Namespace) -> int:
     if args.eps_list is not None:
         eps_grid = _float_list(args.eps_list)
     else:
         if not (math.isfinite(args.eps_start) and math.isfinite(args.eps_stop)):
             raise ValueError("--eps-start and --eps-stop must be finite")
-        import numpy as np  # the default grid is np.linspace's, to the last bit
-        eps_grid = np.linspace(args.eps_start, args.eps_stop, args.eps_count).tolist()
+        eps_grid = _linspace(args.eps_start, args.eps_stop, args.eps_count)
     rows = divergence.kl_sweep(
         eps_grid=eps_grid,
         thetas=_float_list(args.theta_list),

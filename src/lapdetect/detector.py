@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import io
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
@@ -232,15 +233,8 @@ def decide(residual_z: float, test: DetectionTest) -> Decision:
     """Classify one residual; boundary values are NotDetected (strict tails)."""
     if math.isnan(residual_z):  # NaN fails every strict comparison
         raise ValueError("cannot classify a NaN residual")
-    return (
-        Decision.DETECTED if bool(_detected(residual_z, test)) else Decision.NOT_DETECTED
-    )
-
-
-def _detected(z: float | np.ndarray, test: DetectionTest) -> bool | np.ndarray:
-    """Vectorized strict-inequality critical-region membership."""
-    lo, hi = _region(test.direction, test.offset)
-    return (z > test.cfg.mu0 + hi) | (z < test.cfg.mu0 + lo)
+    lo, hi = (test.cfg.mu0 + t for t in _region(test.direction, test.offset))
+    return Decision.DETECTED if residual_z > hi or residual_z < lo else Decision.NOT_DETECTED
 
 
 class RocPoint(NamedTuple):
@@ -266,12 +260,15 @@ class RocCurve:
     def __post_init__(self):
         alphas = [p.alpha for p in self.points]
         powers = [p.power for p in self.points]
-        if any(a2 <= a1 for a1, a2 in zip(alphas, alphas[1:])):
-            raise ValueError("ROC grid sizes must be strictly increasing")
+        # Each pair check fails at a NaN; a one-point curve has no pairs.
+        if any(map(math.isnan, alphas[:1] + powers[:1])):
+            raise ValueError("ROC sizes and powers must not be NaN")
+        if not all(map(operator.lt, alphas, alphas[1:])):
+            raise ValueError("ROC grid sizes must be strictly increasing, without NaN")
         # Small slack: power is mathematically nondecreasing in alpha, but
         # faithful rounding of exp can invert near-saturated neighbors.
-        if any(p2 < p1 - 1e-12 for p1, p2 in zip(powers, powers[1:])):
-            raise ValueError("ROC powers must be nondecreasing in alpha")
+        if not all(p2 >= p1 - 1e-12 for p1, p2 in zip(powers, powers[1:])):
+            raise ValueError("ROC powers must be nondecreasing in alpha, without NaN")
         if not 0.0 <= self.auc <= 1.0:
             raise ValueError(f"AUC must lie in [0, 1], got {self.auc}")
 

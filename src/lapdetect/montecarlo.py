@@ -7,7 +7,7 @@ stream keyed by (seed, role, chunk index), where the role is H0 (0) or H1
 ``LaplaceDist._count`` makes every reported count: it counts detections on
 the draws' integer lattice, transforming only the draws next to a
 threshold, and passes those through the float release arithmetic the
-attack pipeline simulates. A trace's arrays are formed after the count.
+attack pipeline simulates. It is the one many-draw detection path.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Sequence
 import numpy as np
 
 from . import _csv
-from .detector import DetectionTest, TailDirection, _detected, _region
+from .detector import DetectionTest, TailDirection, _region
 from .laplace import _REACH, LaplaceDist, RngStream
 from .mechanism import (
     AttackSpec,
@@ -36,7 +36,6 @@ from .mechanism import (
 __all__ = [
     "SimConfig",
     "SimReport",
-    "AttackTrace",
     "estimate_error_rates",
     "run_attack_experiment",
     "default_grid",
@@ -94,18 +93,6 @@ class SimReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-
-@dataclass(frozen=True)
-class AttackTrace:
-    """Per-trial pipeline record from :func:`run_attack_experiment`."""
-
-    h0_releases: np.ndarray
-    h0_residuals: np.ndarray
-    h0_detected: np.ndarray
-    h1_releases: np.ndarray
-    h1_residuals: np.ndarray
-    h1_detected: np.ndarray
 
 
 def _half_width(p_hat: float, n: int) -> float:
@@ -190,21 +177,15 @@ def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:
     return _simulate(sim, hypothesis_pair(sim.cfg, sim.attack), 0.0, 0.0, workers)
 
 
-def run_attack_experiment(
-    data: Dataset,
-    sim: SimConfig,
-    workers: int = 1,
-    trace: bool = False,
-) -> SimReport | tuple[SimReport, AttackTrace]:
+def run_attack_experiment(data: Dataset, sim: SimConfig, workers: int = 1) -> SimReport:
     """Simulate the full release pipeline on a concrete dataset.
 
     Per trial: release the noisy sum, under H1 additionally inject the
     attack record's value, then let the defender form the residual
     release - q(x) and decide. The report counts detections on the draws'
-    lattice, like :func:`estimate_error_rates`. With ``trace=True`` also
-    returns the per-trial releases, residuals and decisions, formed after
-    the count from the same chunk streams (memory scales with n_trials).
-    ``workers`` is checked as in :func:`estimate_error_rates`.
+    lattice, like :func:`estimate_error_rates`, and its counts equal those
+    of deciding every residual ((q + x) + shift) - q of the chunk streams'
+    draws x. ``workers`` is checked as in :func:`estimate_error_rates`.
 
     Raises:
         ValueError: If the dataset bound disagrees with the configured
@@ -216,20 +197,8 @@ def run_attack_experiment(
             f"dataset bound {data.sensitivity} != configured sensitivity {cfg.s}; "
             "the sum query's sensitivity is the record bound"
         )
-    q = sum_query(data)
     noise = (LaplaceDist(cfg.mu0, cfg.b0), LaplaceDist(cfg.mu0, cfg.b1))
-    report = _simulate(sim, noise, q, sim.attack.x_a, workers)
-    if not trace:
-        return report
-    test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
-    arrays = []
-    for role, shift in enumerate((0.0, sim.attack.x_a)):
-        releases = np.concatenate(
-            [(q + noise[role].sample(stream, m)) + shift for stream, m in _chunks(sim, role)]
-        )
-        residuals = releases - q
-        arrays += [releases, residuals, _detected(residuals, test)]
-    return report, AttackTrace(*arrays)
+    return _simulate(sim, noise, sum_query(data), sim.attack.x_a, workers)
 
 
 def default_grid() -> list[tuple[float, float, float, float]]:

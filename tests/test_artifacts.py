@@ -175,3 +175,17 @@ class TestSink:
             [[_g(x), "" if y is None else _g(y), _flag(b)] for x, y, b in first + second],
         )
         assert buf.getvalue() == expected
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[(None,), (None,)], [(None,), (0.5,), (None,)], [(True,), (None,), (False,)]],
+        ids=["none-only", "none-and-floats", "none-and-flags"],
+    )
+    def test_one_column_keeps_its_empty_rows(self, rows):
+        buf = io.StringIO()
+        _csv.write_csv(buf, ["x"], rows)
+        cells = [
+            ["" if v is None else _flag(v) if isinstance(v, bool) else _g(v)] for (v,) in rows
+        ]
+        assert buf.getvalue() == _render(["x"], cells)
+        assert list(csv.reader(io.StringIO(buf.getvalue()))) == [["x"], *cells]

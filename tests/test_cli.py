@@ -3,14 +3,16 @@
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from lapdetect import detector, divergence, laplace, mechanism, montecarlo, quadrature
+from lapdetect import cli, detector, divergence, laplace, mechanism, montecarlo, quadrature
 from lapdetect.cli import main
 
 
@@ -271,6 +273,7 @@ class TestArtifacts:
                 ["--mu0", "1e308", "--dmu-over-s", "1e10", "--s", "1e300"],
                 "attack location mu0 + dmu_over_s*s overflows, got inf",
             ),
+            (["--eps-count", "-1"], "Number of samples, -1, must be non-negative."),
         ],
     )
     def test_kl_sweep_empty_or_non_finite_grid_exits_three(self, capsys, tmp_path, args, message):
@@ -281,6 +284,26 @@ class TestArtifacts:
         assert err.startswith("error: ") and message in err
         assert err.count("\n") == 1
         assert not path.exists()
+
+
+def test_default_eps_grid_is_numpy_linspace():
+    # kl-sweep builds its default grid without numpy; every point must carry
+    # numpy.linspace's bits, also where the step underflows or overflows.
+    rng = random.Random(2105)
+    cases = [
+        (0.1, 2.0, 39), (0.0, 0.0, 5), (-0.0, 0.0, 1), (-0.0, 1.0, 1), (2.0, 0.1, 0),
+        (5e-324, 1e-323, 7), (1e-300, 1e-300 + 5e-324, 1000), (-1e308, 1e308, 1),
+        (-1e308, 1e308, 3), (1.0, 2.0, 2),
+    ]
+    for _ in range(2000):
+        scale = 10.0 ** rng.uniform(-320, 308)
+        start, stop = rng.uniform(-scale, scale), rng.uniform(-scale, scale)
+        cases.append((start, rng.choice([stop, start, start + 5e-324]), rng.randint(0, 100)))
+    with np.errstate(all="ignore"):  # the overflowing cases hold nan, as numpy's do
+        for start, stop, count in cases:
+            got = [x.hex() for x in cli._linspace(start, stop, count)]
+            want = [x.hex() for x in np.linspace(start, stop, count).tolist()]
+            assert got == want, (start, stop, count)
 
 
 class TestSimulate:

@@ -487,8 +487,17 @@ class TestRocCurve:
             ([(0.2, 0.5), (0.2, 0.6)], 0.5, "sizes must be strictly increasing"),
             ([(0.1, 0.5), (0.2, 0.5 - 2e-12)], 0.5, "powers must be nondecreasing"),
             ([(0.1, 0.5), (0.2, 0.6)], 1.5, r"AUC must lie in \[0, 1\], got 1.5"),
+            # Sizes fall from 0.5 to 0.2 across the NaN.
+            ([(0.5, math.nan), (math.nan, 0.1), (0.2, 0.2)], 0.5, "NaN"),
+            ([(math.nan, 0.5)], 0.5, "NaN"),
+            ([(0.5, math.nan)], 0.5, "NaN"),
+            ([(math.nan, 0.2), (0.2, 0.3)], 0.5, "NaN"),
+            ([(0.1, math.nan), (0.2, 0.3)], 0.5, "NaN"),
+            ([(0.1, 0.2), (0.2, 0.3), (math.nan, 0.4)], 0.5, "NaN"),
+            ([(0.1, 0.2), (0.2, 0.3), (0.3, math.nan)], 0.5, "NaN"),
         ],
-        ids=["sizes", "powers", "auc"],
+        ids=["sizes", "powers", "auc", "nan-falling", "nan-one-alpha", "nan-one-power",
+             "nan-first-alpha", "nan-first-power", "nan-last-alpha", "nan-last-power"],
     )
     def test_inconsistent_curve_rejected(self, points, auc, message):
         pts = tuple(detector.RocPoint(a, 0.0, None, p) for a, p in points)

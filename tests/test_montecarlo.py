@@ -1,12 +1,16 @@
-"""Simulation tests: empirical rates vs closed forms, determinism, traces."""
+"""Simulation tests: empirical rates vs closed forms, determinism, and the
+per-trial release pipeline rebuilt here from the chunk streams."""
 
 import json
 import math
+import re
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lapdetect
 from lapdetect import (
     AttackSpec,
     Dataset,
@@ -21,6 +25,7 @@ from lapdetect import (
     hypothesis_pair,
     run_attack_experiment,
     run_grid,
+    sum_query,
     write_grid_csv,
 )
 
@@ -38,6 +43,33 @@ def _sim(**kwargs) -> SimConfig:
     )
     base.update(kwargs)
     return SimConfig(**base)
+
+
+def _detections(z: np.ndarray, test: DetectionTest) -> np.ndarray:
+    """Strict-tail decisions on residuals ``z`` against the test's thresholds."""
+    if test.direction is RIGHT:
+        return z > test.k
+    if test.direction is TailDirection.LEFT:
+        return z < test.k
+    return (z > test.k1) | (z < test.k2)
+
+
+def _pipeline(data: Dataset, sim: SimConfig) -> list[tuple[np.ndarray, ...]]:
+    """(releases, residuals, detections) for H0 and then H1, as run_attack_experiment
+    forms them: role r draws chunk c of 2^16 trials from RngStream(seed, r << 48 | c)
+    of Lap(mu0, b_r), releases (q + x) + shift and decides the residual release - q."""
+    cfg, q, n = sim.cfg, sum_query(data), sim.n_trials
+    test = DetectionTest.from_alpha(sim.alpha, cfg, sim.direction)
+    roles = []
+    for r, (b, shift) in enumerate(((cfg.b0, 0.0), (cfg.b1, sim.attack.x_a))):
+        draws = [
+            LaplaceDist(cfg.mu0, b).sample(RngStream(sim.seed, r << 48 | c), min(2**16, n - s))
+            for c, s in enumerate(range(0, n, 2**16))
+        ]
+        releases = (q + np.concatenate(draws)) + shift
+        residuals = releases - q
+        roles.append((releases, residuals, _detections(residuals, test)))
+    return roles
 
 
 class TestEstimateErrorRates:
@@ -173,20 +205,51 @@ class TestRunAttackExperiment:
         assert a == b
 
     def test_trace_consistent_with_report(self):
+        # The per-trial pipeline rebuilt from the chunk streams agrees with the report.
         sim = _sim(n_trials=5_000)
-        report, trace = run_attack_experiment(self.DATA, sim, trace=True)
+        report = run_attack_experiment(self.DATA, sim)
+        (h0_releases, h0_residuals, h0_detected), (h1_releases, h1_residuals, h1_detected) = (
+            _pipeline(self.DATA, sim)
+        )
         n = sim.n_trials
-        for arr in (trace.h0_releases, trace.h1_residuals, trace.h1_detected):
+        for arr in (h0_releases, h1_residuals, h1_detected):
             assert arr.shape == (n,)
-        assert int(trace.h0_detected.sum()) == round(report.alpha_hat * n)
-        assert int(trace.h1_detected.sum()) == round(report.power_hat * n)
+        assert int(h0_detected.sum()) == round(report.alpha_hat * n)
+        assert int(h1_detected.sum()) == round(report.power_hat * n)
         q = 0.5 + 0.25 + 1.0 + 0.75
-        np.testing.assert_array_equal(trace.h0_residuals, trace.h0_releases - q)
-        np.testing.assert_array_equal(trace.h1_residuals, trace.h1_releases - q)
+        np.testing.assert_array_equal(h0_residuals, h0_releases - q)
+        np.testing.assert_array_equal(h1_residuals, h1_releases - q)
         # H1 residuals carry the injected bias on top of the noise.
-        assert trace.h1_residuals.mean() == pytest.approx(
+        assert h1_residuals.mean() == pytest.approx(
             sim.attack.x_a, abs=5.0 * sim.cfg.b1 / math.sqrt(n)
         )
+
+    def test_trace_is_gone(self):
+        # 0.6.0 dropped the traced pipeline: the report is the only result.
+        with pytest.raises(TypeError, match="trace"):
+            run_attack_experiment(self.DATA, _sim(n_trials=10), trace=True)
+        assert "AttackTrace" not in lapdetect.__all__
+        assert not hasattr(lapdetect, "AttackTrace")
+        assert run_attack_experiment.__annotations__["return"] == "SimReport"
+
+    def test_readme_rebuild_recipe_sums_to_the_report(self):
+        # The README's 0.6.0 migration snippet rebuilds the arrays behind a report.
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme[readme.index("Version 0.6.0") :]
+        namespace = {}
+        exec(re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1), namespace)
+        data = Dataset(records=(0.5, 1.125, 0.25), bound=1.2)
+        for direction in TailDirection:
+            sim = _sim(
+                cfg=MechanismConfig(s=1.2, eps=0.8, theta=1.5, mu0=0.3), attack=AttackSpec(0.9),
+                alpha=0.2, direction=direction, n_trials=2**16 + 5, seed=4242,
+            )
+            report = run_attack_experiment(data, sim)
+            (_, _, h0_detected), (_, _, h1_detected) = namespace["rebuild"](data, sim)
+            n = sim.n_trials
+            assert (h0_detected.sum(), h1_detected.sum()) == (
+                round(report.alpha_hat * n), round(report.power_hat * n)
+            )
 
 
 class TestStreamKeying:
@@ -209,14 +272,6 @@ class TestStreamKeying:
             [dist.sample(RngStream(seed, role << 48 | c), m) for c, m in self.CHUNKS]
         )
 
-    @staticmethod
-    def _region(z: np.ndarray, test: DetectionTest) -> np.ndarray:
-        if test.direction is RIGHT:
-            return z > test.k
-        if test.direction is TailDirection.LEFT:
-            return z < test.k
-        return (z > test.k1) | (z < test.k2)
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("direction", list(TailDirection))
     def test_estimate_counts(self, workers, direction):
@@ -224,44 +279,18 @@ class TestStreamKeying:
         report = estimate_error_rates(sim, workers=workers)
         test = DetectionTest.from_alpha(sim.alpha, sim.cfg, direction)
         h0, h1 = hypothesis_pair(sim.cfg, sim.attack)
-        n0 = int(np.count_nonzero(self._region(self._draws(h0, 0, sim.seed), test)))
-        n1 = int(np.count_nonzero(self._region(self._draws(h1, 1, sim.seed), test)))
+        n0 = int(np.count_nonzero(_detections(self._draws(h0, 0, sim.seed), test)))
+        n1 = int(np.count_nonzero(_detections(self._draws(h1, 1, sim.seed), test)))
         assert (report.alpha_hat, report.power_hat) == (n0 / self.N, n1 / self.N)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("direction", list(TailDirection))
-    def test_attack_trace(self, workers, direction):
-        data = Dataset(records=(0.5, 1.125, 0.25), bound=1.2)  # exact sum
-        sim = self._sim(direction)
-        _, trace = run_attack_experiment(data, sim, workers=workers, trace=True)
-        test = DetectionTest.from_alpha(sim.alpha, sim.cfg, direction)
-        q = sum(data.records)
-        cfg = sim.cfg
-        h0_releases = q + self._draws(LaplaceDist(cfg.mu0, cfg.b0), 0, sim.seed)
-        h1_releases = (
-            q + self._draws(LaplaceDist(cfg.mu0, cfg.b1), 1, sim.seed)
-        ) + sim.attack.x_a
-        expected = {
-            "h0_releases": h0_releases,
-            "h0_residuals": h0_releases - q,
-            "h0_detected": self._region(h0_releases - q, test),
-            "h1_releases": h1_releases,
-            "h1_residuals": h1_releases - q,
-            "h1_detected": self._region(h1_releases - q, test),
-        }
-        for name, want in expected.items():
-            got = getattr(trace, name)
-            assert got.dtype == want.dtype, name
-            np.testing.assert_array_equal(got, want, err_msg=name)
 
 
 class TestLatticeCount:
     """Attack runs count each chunk on the draws' integer lattice
     (``LaplaceDist._count``) and pass only the draws next to a threshold
-    through the release pipeline ((q + z) + x_a) - q; a trace forms every
-    release and decides it with ``_detected``. The report's counts equal the
-    trace's at any worker count, also where q, mu0 or x_a dwarf b0 and where
-    the cut t - x_a overflows."""
+    through the release pipeline ((q + z) + x_a) - q. The report's counts
+    equal the detections among every release rebuilt here from the chunk
+    streams (``_pipeline``), at any worker count, also where q, mu0 or x_a
+    dwarf b0 and where the cut t - x_a overflows."""
 
     N = 100_003  # not a multiple of the 2^16 chunk
     CASES = {
@@ -275,17 +304,15 @@ class TestLatticeCount:
         "t-x_a=inf": (MechanismConfig(s=1.0, eps=1.0, mu0=1e308), (0.5,), -1e308),
     }
 
-    def _run(self, case, direction, **kwargs):
-        cfg, records, x_a = self.CASES[case]
-        sim = _sim(cfg=cfg, attack=AttackSpec(x_a), direction=direction, n_trials=self.N)
-        return run_attack_experiment(Dataset(records, bound=cfg.s), sim, **kwargs)
-
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("direction", list(TailDirection))
     @pytest.mark.parametrize("case", list(CASES))
     def test_report_counts_equal_traced_detections(self, case, direction, workers):
-        report, trace = self._run(case, direction, workers=workers, trace=True)
-        n0, n1 = int(trace.h0_detected.sum()), int(trace.h1_detected.sum())
+        cfg, records, x_a = self.CASES[case]
+        sim = _sim(cfg=cfg, attack=AttackSpec(x_a), direction=direction, n_trials=self.N)
+        data = Dataset(records, bound=cfg.s)
+        report = run_attack_experiment(data, sim, workers=workers)
+        n0, n1 = (int(np.count_nonzero(d)) for _, _, d in _pipeline(data, sim))
         assert (report.alpha_hat, report.power_hat) == (n0 / self.N, n1 / self.N)
 
     @pytest.mark.parametrize("direction", list(TailDirection))

@@ -33,6 +33,7 @@ for argv in (
     ["kl", "--dmu", "4"],
     ["roc", "--dmu", "1", "--grid", "99", "--out", out + "/roc.csv"],
     ["kl-sweep", "--eps-list", "0.1,0.5,1", "--out", out + "/kl_sweep.csv"],
+    ["kl-sweep", "--out", out + "/kl_default.csv"],
 ):
     assert lapdetect.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
