@@ -7,7 +7,8 @@ detectable-bias intervals, KL divergence accounting against the e^eps
 admissibility bound, and Monte Carlo validation of every closed form.
 
 The public surface is each module's ``__all__``, re-exported here.
-``montecarlo``, the one module that imports numpy, loads on first use.
+``montecarlo`` loads on first use. No module imports numpy at import time;
+the array, sampling and simulation calls import it when they run.
 """
 
 import importlib
@@ -19,7 +20,7 @@ from .laplace import *  # noqa: F403
 from .mechanism import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 
 def __getattr__(name: str):

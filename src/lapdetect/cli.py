@@ -177,7 +177,7 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    from . import montecarlo  # imports numpy, which no other subcommand needs
+    from . import montecarlo  # its calls import numpy, which no other subcommand needs
     if args.sweep:
         rows = montecarlo.run_grid(
             s=args.s,

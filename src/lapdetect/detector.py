@@ -18,11 +18,12 @@ Past it the most powerful region has two unequal tails, none of the shapes
 here: at s = eps = dmu = 1, theta = 2, alpha = 0.3 its power is 0.667,
 against 0.608 right-tail and 0.618 two-sided.
 
-A critical region is held once, as its offset from mu0 in the units of z;
-calibration, sizes and powers work in the frame centred on mu0, where H0 =
-Lap(0, b0) and H1 = Lap(x_a, b1), so a large mu0 costs them no precision.
-An ROC curve is computed column by column with the helpers a DetectionTest
-calls on one-element lists, and every point is size-checked to 1e-12.
+A critical region is held once, as offsets (lo, hi) from mu0 in units of z,
+rejecting z < mu0 + lo or z > mu0 + hi; a one-sided test has one infinite
+end. Calibration, sizes and powers work in the frame centred on mu0, where
+H0 = Lap(0, b0) and H1 = Lap(x_a, b1), so a large mu0 costs them no
+precision. An ROC curve is computed column by column with the helpers a
+DetectionTest calls on one-element lists; every point is size-checked to 1e-12.
 """
 
 from __future__ import annotations
@@ -78,64 +79,55 @@ class Decision(Enum):
     NOT_DETECTED = "not-detected"
 
 
-def _offsets(alphas: list[float], b0: float, direction: TailDirection) -> list[float]:
-    """Offsets from mu0 of the size-alpha critical regions, in units of z.
+def _regions(alphas: list[float], b0: float, direction: TailDirection) -> tuple[list, list]:
+    """Size-alpha critical regions as columns (los, his) of offsets from mu0.
 
-    One-sided: the signed threshold offset, a quantile of H0 = Lap(0, b0).
-    Two-sided: the half-width -b0 ln(alpha) >= 0, alpha/2 beyond each end.
+    One-sided: (-inf, t) or (t, inf), t the alpha quantile of H0 = Lap(0, b0)
+    mirrored for the right tail. Two-sided: (-h, h), h = -b0 ln(alpha) >= 0,
+    alpha/2 beyond each end.
     """
-    log = math.log
-    if not direction.one_sided:
-        for a in alphas:
-            if not 0.0 < a <= 1.0:
-                raise ValueError(
-                    f"size must lie in (0, 1] (log alpha diverges at 0), got alpha={a}"
-                )
-        return [-(b0 * log(a)) for a in alphas]
+    log, one_sided = math.log, direction.one_sided
     for a in alphas:
-        if not 0.0 < a < 1.0:
-            raise ValueError(f"size must lie strictly in (0, 1), got alpha={a}")
-    # The alpha quantile of Lap(0, 1): exact log arguments on both branches,
-    # which meet at 0 bitwise at alpha = 0.5.
-    scale = b0 if direction is TailDirection.LEFT else -b0
-    return [scale * (log(2.0 * a) if a < 0.5 else -log(2.0 * (1.0 - a))) for a in alphas]
-
-
-def _region(direction: TailDirection, offset: float) -> tuple[float, float]:
-    """Critical region as offsets (lo, hi) from mu0: reject z < lo or z > hi."""
+        if not (0.0 < a < 1.0 or a == 1.0 and not one_sided):
+            raise ValueError(f"size must lie in (0, 1{')' if one_sided else ']'}, got alpha={a}")
+    if one_sided:
+        # The alpha quantile of Lap(0, 1): exact log arguments on both branches,
+        # which meet at 0 bitwise at alpha = 0.5.
+        scale = b0 if direction is TailDirection.LEFT else -b0
+        ends = [scale * (log(2.0 * a) if a < 0.5 else -log(2.0 * (1.0 - a))) for a in alphas]
+    else:
+        ends = [-(b0 * log(a)) for a in alphas]
+    if not all(map(math.isfinite, ends)):
+        bad = next(t for t in ends if not math.isfinite(t))
+        raise ValueError(f"threshold offset must be finite, got {bad}")
     if direction is TailDirection.LEFT:
-        return offset, math.inf
-    return (-math.inf if direction.one_sided else -offset), offset
+        return ends, [math.inf] * len(ends)
+    return ([-math.inf] * len(ends) if one_sided else list(map(operator.neg, ends))), ends
 
 
-def _masses(offsets: list[float], direction: TailDirection, mu: float, b: float) -> list[float]:
-    """Mass of Lap(mu, b), centred on mu0, in each offset's critical region.
+def _masses(los: list[float], his: list[float], mu: float, b: float) -> list[float]:
+    """Mass of Lap(mu, b), centred on mu0, below each lo plus above each hi.
 
     ``LaplaceDist.cdf`` at lo plus ``LaplaceDist.survival`` at hi, in their
-    float expressions; an infinite end adds exactly 0.0, so it is skipped.
+    float expressions. An infinite end adds exactly 0.0, so a column of them,
+    one shape to a column as ``_regions`` builds it, costs no exp.
     """
     exp = math.exp
-    if direction is TailDirection.LEFT:
-        return [t if o < mu else 1.0 - t for o in offsets for t in (0.5 * exp(-abs(o - mu) / b),)]
-    if direction is TailDirection.RIGHT:
-        return [t if o > mu else 1.0 - t for o in offsets for t in (0.5 * exp(-abs(o - mu) / b),)]
+    if los[0] == -math.inf:
+        return [t if hi > mu else 1.0 - t for hi in his for t in (0.5 * exp(-abs(hi - mu) / b),)]
+    if his[0] == math.inf:
+        return [t if lo < mu else 1.0 - t for lo in los for t in (0.5 * exp(-abs(lo - mu) / b),)]
     return [
-        (t if -o < mu else 1.0 - t) + (u if o > mu else 1.0 - u)
-        for o in offsets
-        for t, u in ((0.5 * exp(-abs(-o - mu) / b), 0.5 * exp(-abs(o - mu) / b)),)
+        (t if lo < mu else 1.0 - t) + (u if hi > mu else 1.0 - u)
+        for lo, hi in zip(los, his)
+        for t, u in ((0.5 * exp(-abs(lo - mu) / b), 0.5 * exp(-abs(hi - mu) / b)),)
     ]
 
 
-def _check(direction: TailDirection, alphas: list[float], offsets: list[float], b0: float):
-    """Raise unless each offset is finite (and >= 0 two-sided) and has size alpha."""
-    if not all(map(math.isfinite, offsets)):
-        bad = next(o for o in offsets if not math.isfinite(o))
-        raise ValueError(f"threshold offset must be finite, got {bad}")
-    if not direction.one_sided and min(offsets) < 0.0:
-        bad = next(o for o in offsets if o < 0.0)
-        raise ValueError(f"two-sided half-width must be >= 0, got {bad}")
+def _check(alphas: list[float], los: list[float], his: list[float], b0: float):
+    """Raise unless each region has size alpha."""
     atol = _SIZE_ATOL
-    for size, alpha in zip(_masses(offsets, direction, 0.0, b0), alphas):
+    for size, alpha in zip(_masses(los, his, 0.0, b0), alphas):
         if not abs(size - alpha) <= atol:  # a NaN alpha fails too
             raise ValueError(f"threshold(s) give size {size}, which is not alpha={alpha}")
 
@@ -164,28 +156,46 @@ def likelihood_ratio(
 
 @dataclass(frozen=True)
 class DetectionTest:
-    """A calibrated test: tail direction, size alpha and critical region.
+    """A calibrated test: size alpha and critical region (lo, hi).
 
-    ``offset`` is the region's distance from mu0 in units of z: reject beyond
-    k = mu0 + offset (one-sided) or outside mu0 -+ offset (two-sided, offset
-    >= 0). Construction re-derives the size and rejects if it disagrees with
-    ``alpha`` by more than 1e-12, so a DetectionTest is consistent by invariant.
+    ``lo`` and ``hi`` are offsets from mu0 in units of z: the test rejects
+    z < mu0 + lo or z > mu0 + hi. A right tail is (-inf, t), a left tail
+    (t, inf) and the two-sided test (-h, h) with h >= 0. Construction
+    re-derives the size and rejects if it disagrees with ``alpha`` by more
+    than 1e-12, so a DetectionTest is consistent by invariant.
     """
 
-    direction: TailDirection
     alpha: float
     cfg: MechanismConfig
-    offset: float
+    lo: float
+    hi: float
 
     def __post_init__(self):
-        _check(self.direction, [self.alpha], [self.offset], self.cfg.b0)
+        if not math.isfinite(self.offset):
+            raise ValueError(f"threshold offset must be finite, got {self.offset}")
+        if not (self.lo == -math.inf or self.hi == math.inf or 0.0 <= self.hi == -self.lo):
+            raise ValueError(f"need (-h, h) with half-width h >= 0, got ({self.lo}, {self.hi})")
+        _check([self.alpha], [self.lo], [self.hi], self.cfg.b0)
 
     @classmethod
     def from_alpha(
         cls, alpha: float, cfg: MechanismConfig, direction: TailDirection
     ) -> "DetectionTest":
         """Calibrate the critical region for a requested size."""
-        return cls(direction, alpha, cfg, _offsets([alpha], cfg.b0, direction)[0])
+        (lo,), (hi,) = _regions([alpha], cfg.b0, direction)
+        return cls(alpha, cfg, lo, hi)
+
+    @property
+    def direction(self) -> TailDirection:
+        """RIGHT for (-inf, t), LEFT for (t, inf), TWO_SIDED for (-h, h)."""
+        if self.lo == -math.inf:
+            return TailDirection.RIGHT
+        return TailDirection.LEFT if self.hi == math.inf else TailDirection.TWO_SIDED
+
+    @property
+    def offset(self) -> float:
+        """The finite end t of a one-sided region, or the half-width h."""
+        return self.lo if self.hi == math.inf else self.hi
 
     @property
     def k1(self) -> float:
@@ -196,16 +206,16 @@ class DetectionTest:
 
     @property
     def k2(self) -> float | None:
-        """Lower two-sided threshold mu0 - offset; None for a one-sided test."""
-        return None if self.direction.one_sided else self.cfg.mu0 - self.offset
+        """Lower two-sided threshold mu0 + lo; None for a one-sided test."""
+        return None if self.direction.one_sided else self.cfg.mu0 + self.lo
 
     def size(self) -> float:
         """False-alarm probability: null mass of the critical region."""
-        return _masses([self.offset], self.direction, 0.0, self.cfg.b0)[0]
+        return _masses([self.lo], [self.hi], 0.0, self.cfg.b0)[0]
 
     def power(self, attack: AttackSpec) -> float:
         """Detection probability: alternative mass of the critical region."""
-        return _masses([self.offset], self.direction, attack.x_a, self.cfg.b1)[0]
+        return _masses([self.lo], [self.hi], attack.x_a, self.cfg.b1)[0]
 
 
 def kappa(test: DetectionTest, attack: AttackSpec) -> float:
@@ -233,7 +243,7 @@ def decide(residual_z: float, test: DetectionTest) -> Decision:
     """Classify one residual; boundary values are NotDetected (strict tails)."""
     if math.isnan(residual_z):  # NaN fails every strict comparison
         raise ValueError("cannot classify a NaN residual")
-    lo, hi = (test.cfg.mu0 + t for t in _region(test.direction, test.offset))
+    lo, hi = test.cfg.mu0 + test.lo, test.cfg.mu0 + test.hi
     return Decision.DETECTED if residual_z > hi or residual_z < lo else Decision.NOT_DETECTED
 
 
@@ -290,11 +300,11 @@ def roc_curve(
         raise ValueError(f"ROC grid needs at least 2 points, got {grid}")
     b0, mu0 = cfg.b0, cfg.mu0
     alphas = [i / (grid + 1) for i in range(1, grid + 1)]
-    offsets = _offsets(alphas, b0, direction)
-    _check(direction, alphas, offsets, b0)
-    powers = _masses(offsets, direction, attack.x_a, cfg.b1)
-    k1s = [mu0 + o for o in offsets]
-    k2s = repeat(None) if direction.one_sided else [mu0 - o for o in offsets]
+    los, his = _regions(alphas, b0, direction)
+    _check(alphas, los, his, b0)
+    powers = _masses(los, his, attack.x_a, cfg.b1)
+    k1s = [mu0 + t for t in (los if direction is TailDirection.LEFT else his)]
+    k2s = repeat(None) if direction.one_sided else [mu0 + lo for lo in los]
     points = tuple(map(RocPoint, alphas, k1s, k2s, powers))
     xs = [0.0, *alphas, 1.0]
     ys = [0.0, *powers, 1.0]

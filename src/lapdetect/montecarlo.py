@@ -20,10 +20,8 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from . import _csv
-from .detector import DetectionTest, TailDirection, _region
+from .detector import DetectionTest, TailDirection
 from .laplace import _REACH, LaplaceDist, RngStream
 from .mechanism import (
     AttackSpec,
@@ -104,15 +102,21 @@ def _check_resolution(sim: SimConfig) -> None:
 
     No draw lies beyond the extreme ones, mu0 -+ 52 ln 2 b0 (about 36.04 b0),
     so a region beyond them (alpha below about 2^-53 per tail) has sampled
-    mass 0 and alpha_hat would read 0 whatever the sample size.
+    mass 0 and alpha_hat would read 0 whatever the sample size. A region
+    within reach is missed too where mu0's float spacing is that coarse.
     """
     test = DetectionTest.from_alpha(sim.alpha, sim.cfg, sim.direction)
-    lo, hi = _region(test.direction, test.offset)
+    mu0, reach = sim.cfg.mu0, _REACH * sim.cfg.b0
     first, last = sim.cfg.null_dist()._reach()
-    if not (first < sim.cfg.mu0 + lo or last > sim.cfg.mu0 + hi):
+    if not (-reach < test.lo or test.hi < reach):
         raise ValueError(
             f"alpha={sim.alpha} is below the sampler's resolution: no draw under H0 "
-            f"lies beyond 52 ln 2 b0 = {_REACH * sim.cfg.b0:.6g} from mu0"
+            f"lies beyond 52 ln 2 b0 = {reach:.6g} from mu0"
+        )
+    if not (first < mu0 + test.lo or last > mu0 + test.hi):
+        raise ValueError(
+            f"no draw under H0 can fall in the critical region: floats near mu0={mu0:.6g} "
+            f"are {math.ulp(mu0):.6g} apart, too coarse for draws within {reach:.6g} of it"
         )
 
 
@@ -142,7 +146,7 @@ def _simulate(
                 raise ValueError(f"draws of {d} overflow the float range")
     if workers < 1:
         raise ValueError(f"need at least one worker, got workers={workers}")
-    lo, hi = (sim.cfg.mu0 + t for t in _region(test.direction, test.offset))
+    lo, hi = sim.cfg.mu0 + test.lo, sim.cfg.mu0 + test.hi
     n = sim.n_trials
     alpha_hat, power_hat = (
         sum(noise[r]._count(stream, m, lo, hi, q, shifts[r]) for stream, m in _chunks(sim, r)) / n
@@ -227,6 +231,7 @@ def run_grid(
     results do not depend on how cells are batched or ordered by callers.
     Cells run one after another; ``workers`` starts no threads.
     """
+    import numpy as np
     if grid is None:
         grid = default_grid()
     rows = []

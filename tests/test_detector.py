@@ -4,6 +4,7 @@ Every closed form is checked against the quadrature oracles in
 tests/oracles.py; sampled cross-checks use fixed seeds.
 """
 
+import dataclasses
 import io
 import math
 
@@ -36,6 +37,12 @@ RIGHT, LEFT, TWO = TailDirection.RIGHT, TailDirection.LEFT, TailDirection.TWO_SI
 UNIT = MechanismConfig(s=1.0, eps=1.0)
 
 
+def region(direction, offset):
+    """The (lo, hi) fields of the 0.6 test (direction, offset)."""
+    shapes = {RIGHT: (-math.inf, offset), LEFT: (offset, math.inf), TWO: (-offset, offset)}
+    return dict(zip(("lo", "hi"), shapes[direction]))
+
+
 def at_k(k, cfg, direction):
     """The one-sided test whose threshold is the uncalibrated absolute k.
 
@@ -44,7 +51,7 @@ def at_k(k, cfg, direction):
     """
     h0 = cfg.null_dist()
     alpha = h0.survival(k) if direction is RIGHT else h0.cdf(k)
-    return DetectionTest(direction=direction, alpha=alpha, cfg=cfg, offset=k - cfg.mu0)
+    return DetectionTest(alpha=alpha, cfg=cfg, **region(direction, k - cfg.mu0))
 
 
 def threshold(alpha, cfg, direction):
@@ -347,28 +354,71 @@ class TestDetectionTest:
 
     def test_inconsistent_alpha_rejected(self):
         with pytest.raises(ValueError, match="size"):
-            DetectionTest(direction=RIGHT, alpha=0.2, cfg=UNIT, offset=1.0)
+            DetectionTest(alpha=0.2, cfg=UNIT, **region(RIGHT, 1.0))
 
     @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
     def test_nan_alpha_rejected(self, direction):
         # |size - nan| > tol is False, so the size check must not be phrased that way.
         with pytest.raises(ValueError, match="is not alpha=nan"):
-            DetectionTest(direction=direction, alpha=math.nan, cfg=UNIT, offset=1.0)
+            DetectionTest(alpha=math.nan, cfg=UNIT, **region(direction, 1.0))
 
     def test_two_sided_requires_symmetry(self):
         # One half-width is symmetric about mu0 by construction; it must
         # not be negative.
         with pytest.raises(ValueError, match="half-width"):
-            DetectionTest(direction=TWO, alpha=1.0, cfg=UNIT, offset=-0.5)
+            DetectionTest(alpha=1.0, cfg=UNIT, **region(TWO, -0.5))
 
     def test_threshold_field_shape_enforced(self):
-        for old in ({"k": 0.0}, {"k1": 0.0, "k2": 0.0}):
+        for old in (
+            {"k": 0.0},
+            {"k1": 0.0, "k2": 0.0},
+            {"direction": RIGHT, "offset": 0.0},
+            {"direction": RIGHT, "lo": -math.inf, "hi": 0.0},
+            {"offset": 0.0, "lo": -math.inf, "hi": 0.0},
+        ):
             with pytest.raises(TypeError):
-                DetectionTest(direction=RIGHT, alpha=0.5, cfg=UNIT, **old)
+                DetectionTest(alpha=0.5, cfg=UNIT, **old)
         for direction in (RIGHT, LEFT, TWO):
             for bad in (math.nan, math.inf, -math.inf):
                 with pytest.raises(ValueError, match="finite"):
-                    DetectionTest(direction=direction, alpha=0.5, cfg=UNIT, offset=bad)
+                    DetectionTest(alpha=0.5, cfg=UNIT, **region(direction, bad))
+
+    @pytest.mark.parametrize(
+        "lo, hi",
+        [
+            (1.0, 0.5),
+            (math.inf, 1.0),
+            (1.0, -math.inf),
+            (math.nan, 1.0),
+            (-1.0, math.nan),
+            (math.nan, math.inf),
+            (-math.inf, math.nan),
+            (-math.inf, math.inf),
+            (math.inf, math.inf),
+            (-math.inf, -math.inf),
+            (-1.0, 2.0),
+            (-2.0, 1.0),
+        ],
+    )
+    def test_hand_built_region_rejected(self, lo, hi):
+        # alpha is the region's own size where that is a number, so the size
+        # check alone would accept (-inf, inf) and the asymmetric pairs.
+        h0 = UNIT.null_dist()
+        size = h0.cdf(lo) + h0.survival(hi)
+        alpha = size if 0.0 <= size <= 1.0 else 0.5
+        with pytest.raises(ValueError, match="finite|half-width"):
+            DetectionTest(alpha=alpha, cfg=UNIT, lo=lo, hi=hi)
+
+    @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
+    def test_region_fields_and_derived_names(self, direction):
+        assert [f.name for f in dataclasses.fields(DetectionTest)] == ["alpha", "cfg", "lo", "hi"]
+        cfg = MechanismConfig(s=1.3, eps=0.7, mu0=-1.7)
+        t = DetectionTest.from_alpha(0.1, cfg, direction)
+        assert {"lo": t.lo, "hi": t.hi} == region(direction, t.offset)
+        assert t.direction is direction
+        assert DetectionTest(0.1, cfg, t.lo, t.hi) == t
+        assert t.k1 == cfg.mu0 + t.offset
+        assert t.k2 == (None if direction.one_sided else cfg.mu0 + t.lo)
 
 
 class TestDecide:

@@ -1,6 +1,6 @@
 """Tests at large noise locations: nothing is lost to cancellation against mu0.
 
-A test's critical region is stored as its offset from mu0, and its size,
+A test's critical region is stored as offsets (lo, hi) from mu0, and its size,
 power and likelihood-ratio cutoff are computed in the frame centred on mu0.
 So a test calibrated at mu0 must agree with the same test at mu0 = 0, and
 the size self-check must hold at every magnitude. The reference values are
@@ -202,6 +202,20 @@ def test_simulate_below_lattice_resolution_exits_three(capsys, tail):
     code, out, err = _run(capsys, *argv, "--alpha", "1e-15")
     assert (code, err) == (0, "")
     assert json.loads(out)["alpha_closed"] == pytest.approx(1e-15)
+
+
+@pytest.mark.parametrize("tail", ["right", "left", "two-sided"])
+def test_simulate_where_mu0_spacing_hides_the_region_exits_three(capsys, tail):
+    # alpha = 0.1 puts the region 2.3 b0 from mu0, well within the draws'
+    # reach, but floats near 1e300 are 1.5e284 apart, so every draw is mu0.
+    dmu = "-1" if tail == "left" else "1"
+    argv = ["simulate", "--mu0", "1e300", "--alpha", "0.1", "--dmu", dmu, "--tail", tail]
+    code, out, err = _run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith(
+        "error: no draw under H0 can fall in the critical region: "
+        "floats near mu0=1e+300 are 1.48702e+284 apart"
+    )
 
 
 def _run(capsys, *argv):

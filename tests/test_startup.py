@@ -1,9 +1,9 @@
 """numpy stays off the start-up path of the closed-form CLI subcommands.
 
-``lapdetect`` loads ``montecarlo``, the one module that imports numpy, on
-first use, and the other modules import numpy only inside their array and
-sampling paths. The guard runs in a fresh interpreter, because the test
-process has numpy loaded already.
+``lapdetect`` loads ``montecarlo`` on first use, and every module imports
+numpy only inside the array, sampling and simulation calls that need it.
+The guards run in a fresh interpreter, because the test process has numpy
+loaded already.
 """
 
 import io
@@ -42,16 +42,40 @@ assert "numpy" in sys.modules, "simulate"
 """
 
 
-def test_closed_form_subcommands_start_without_numpy(tmp_path):
+def _fresh(code: str, *argv: str) -> subprocess.CompletedProcess:
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD, str(tmp_path)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_closed_form_subcommands_start_without_numpy(tmp_path):
+    proc = _fresh(GUARD, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+
+
+LAZY_GUARD = """
+import sys
+
+import lapdetect
+from lapdetect import cli
+
+assert not hasattr(lapdetect, "no_such_name")
+import lapdetect.montecarlo
+assert lapdetect.SimConfig is lapdetect.montecarlo.SimConfig
+assert "numpy" not in sys.modules
+"""
+
+
+def test_lazy_attributes_and_montecarlo_import_without_numpy():
+    # The lazy hook imports montecarlo for any name it is asked for, so
+    # montecarlo itself must not import numpy until a simulation runs.
+    proc = _fresh(LAZY_GUARD)
     assert proc.returncode == 0, proc.stderr
 
 
