@@ -20,7 +20,7 @@ from .laplace import *  # noqa: F403
 from .mechanism import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.7.0"
+__version__ = "0.7.1"
 
 
 def __getattr__(name: str):

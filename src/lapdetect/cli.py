@@ -9,10 +9,12 @@ Subcommands
     kl-sweep    divergence vs privacy budget grid, written as CSV
     simulate    Monte Carlo validation of the closed forms (JSON report)
 
-Exit codes: 0 success, 2 usage error, 3 domain error. Scalar output uses
-7 significant digits; CSV artifacts carry 17. Files default into
-$LAPDETECT_OUT_DIR (falling back to the working directory) unless --out
-gives an explicit path.
+Each handler returns the text it reports; only ``main`` writes stdout, and
+only on success. Exit codes: 0 success, 2 usage error, 3 domain error,
+which writes one ``error:`` line to stderr and nothing to stdout. Scalar
+output uses 7 significant digits; CSV artifacts carry 17. Files default
+into $LAPDETECT_OUT_DIR (falling back to the working directory) unless
+--out gives an explicit path.
 """
 
 from __future__ import annotations
@@ -73,46 +75,39 @@ def _tail(args: argparse.Namespace) -> TailDirection:
     return TailDirection(args.tail)
 
 
-def _cmd_threshold(args: argparse.Namespace) -> int:
+def _cmd_threshold(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     test = DetectionTest.from_alpha(args.alpha, cfg, _tail(args))
+    attack = AttackSpec(x_a=args.dmu) if args.dmu else None  # no --dmu, or 0: k alone
     if not test.direction.one_sided:
-        print(f"({_fmt(test.k1)}, {_fmt(test.k2)})")
-        return 0
-    print(_fmt(test.k))
-    if args.dmu is not None and args.dmu != 0.0:
-        attack = AttackSpec(x_a=args.dmu)
-        print(f"kappa = {_fmt(detector.kappa(test, attack))}")
-        # The ratio does not depend on mu0: evaluate it at the offset in the
-        # frame centred on mu0, where the region is not lost to rounding.
-        lr = detector.likelihood_ratio(test.offset, replace(cfg, mu0=0.0), attack)
-        print(f"lr_at_k = {_fmt(lr)}")
-    return 0
+        return f"({_fmt(test.k1)}, {_fmt(test.k2)})"
+    if attack is None:
+        return _fmt(test.k)
+    kappa = detector.kappa(test, attack)
+    # The ratio does not depend on mu0: evaluate it at the offset in the
+    # frame centred on mu0, where the region is not lost to rounding.
+    lr = detector.likelihood_ratio(test.offset, replace(cfg, mu0=0.0), attack)
+    return f"{_fmt(test.k)}\nkappa = {_fmt(kappa)}\nlr_at_k = {_fmt(lr)}"
 
 
-def _cmd_power(args: argparse.Namespace) -> int:
-    cfg = _cfg(args)
-    test = DetectionTest.from_alpha(args.alpha, cfg, _tail(args))
-    print(_fmt(test.power(AttackSpec(x_a=args.dmu))))
-    return 0
+def _cmd_power(args: argparse.Namespace) -> str:
+    test = DetectionTest.from_alpha(args.alpha, _cfg(args), _tail(args))
+    return _fmt(test.power(AttackSpec(x_a=args.dmu)))
 
 
-def _cmd_roc(args: argparse.Namespace) -> int:
-    cfg = _cfg(args)
-    curve = detector.roc_curve(cfg, AttackSpec(x_a=args.dmu), _tail(args), args.grid)
+def _cmd_roc(args: argparse.Namespace) -> str:
+    curve = detector.roc_curve(_cfg(args), AttackSpec(x_a=args.dmu), _tail(args), args.grid)
     path = _out_path(args.out, "roc.csv")
     detector.write_roc_csv(curve, path)
-    print(f"wrote {len(curve.points)} points (AUC = {_fmt(curve.auc)}) to {path}")
-    return 0
+    return f"wrote {len(curve.points)} points (AUC = {_fmt(curve.auc)}) to {path}"
 
 
-def _cmd_interval(args: argparse.Namespace) -> int:
+def _cmd_interval(args: argparse.Namespace) -> str:
     iv = detector.bias_interval(args.alpha, args.beta_bar, _cfg(args))
-    print(f"({_fmt(iv.lo)}, {_fmt(iv.hi)})")
-    return 0
+    return f"({_fmt(iv.lo)}, {_fmt(iv.hi)})"
 
 
-def _cmd_kl(args: argparse.Namespace) -> int:
+def _cmd_kl(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     p0, p1 = mechanism.hypothesis_pair(cfg, AttackSpec(x_a=args.dmu))
     report = divergence.kl_dp_check(p0, p1, cfg.eps)
@@ -132,16 +127,15 @@ def _cmd_kl(args: argparse.Namespace) -> int:
     if form == "variant":
         fields["d_canonical"] = report.d_closed
     if args.format == "json":
-        print(json.dumps(fields, indent=2))
-    else:
-        for key, value in fields.items():
-            if isinstance(value, bool):
-                print(f"{key} = {'true' if value else 'false'}")
-            elif isinstance(value, float):
-                print(f"{key} = {_fmt(value)}")
-            else:
-                print(f"{key} = {value}")
-    return 0
+        return json.dumps(fields, indent=2)
+    lines = []
+    for key, value in fields.items():
+        if isinstance(value, bool):
+            value = "true" if value else "false"
+        elif isinstance(value, float):
+            value = _fmt(value)
+        lines.append(f"{key} = {value}")
+    return "\n".join(lines)
 
 
 def _linspace(start: float, stop: float, count: int) -> list[float]:
@@ -156,12 +150,12 @@ def _linspace(start: float, stop: float, count: int) -> list[float]:
     return grid + [stop]
 
 
-def _cmd_kl_sweep(args: argparse.Namespace) -> int:
+def _cmd_kl_sweep(args: argparse.Namespace) -> str:
+    if not (math.isfinite(args.eps_start) and math.isfinite(args.eps_stop)):
+        raise ValueError("--eps-start and --eps-stop must be finite")
     if args.eps_list is not None:
         eps_grid = _float_list(args.eps_list)
     else:
-        if not (math.isfinite(args.eps_start) and math.isfinite(args.eps_stop)):
-            raise ValueError("--eps-start and --eps-stop must be finite")
         eps_grid = _linspace(args.eps_start, args.eps_stop, args.eps_count)
     rows = divergence.kl_sweep(
         eps_grid=eps_grid,
@@ -172,11 +166,10 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> int:
     )
     path = _out_path(args.out, "kl_sweep.csv")
     divergence.write_kl_sweep_csv(rows, path)
-    print(f"wrote {len(rows)} rows to {path}")
-    return 0
+    return f"wrote {len(rows)} rows to {path}"
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> str:
     from . import montecarlo  # its calls import numpy, which no other subcommand needs
     if args.sweep:
         rows = montecarlo.run_grid(
@@ -187,8 +180,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         )
         path = _out_path(args.out, "grid.csv")
         montecarlo.write_grid_csv(rows, path)
-        print(f"appended {len(rows)} grid rows to {path}")
-        return 0
+        return f"appended {len(rows)} grid rows to {path}"
     if args.dmu is None:
         raise ValueError("--dmu is required unless --sweep is given")
     sim = montecarlo.SimConfig(
@@ -210,8 +202,7 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     text = report.to_json()
     if args.out is not None:
         Path(args.out).write_text(text + "\n")
-    print(text)
-    return 0
+    return text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -311,10 +302,11 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        print(args.handler(args))
     except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    return 0
 
 
 if __name__ == "__main__":

@@ -147,17 +147,12 @@ class LaplaceDist:
     def _transform(self, k: np.ndarray) -> np.ndarray:
         """mu - b sign(q) log1p(-2|q|), q = k/2^53 - 0.5, at int64 lattice points ``k``.
 
-        One pass per operation of that expression, in its order and in place
-        after the first, so the draws match it bit for bit. log1p's argument
-        is exact on the lattice k/2^53; b sign(q) overwrites ``k``.
+        Evaluated as written, one ufunc per operation, so the draws are that
+        expression bit for bit; log1p's argument is exact on the lattice k/2^53.
         """
         import numpy as np
-        q = k * _U_SCALE
-        np.subtract(q, 0.5, out=q)
-        sb = np.sign(q, out=k.view(np.float64))
-        np.multiply(sb, self.b, out=sb)
-        np.log1p(np.multiply(np.abs(q, out=q), -2.0, out=q), out=q)
-        return np.subtract(self.mu, np.multiply(sb, q, out=q), out=q)
+        q = k * _U_SCALE - 0.5
+        return self.mu - (np.sign(q) * self.b) * np.log1p(np.abs(q) * -2.0)
 
     def _count(self, rng: RngStream, m: int, lo: float, hi: float, q=0.0, x_a=0.0) -> int:
         """How many r = ((q + x) + x_a) - q, x = sample(rng, m), lie below lo or above hi.

@@ -73,6 +73,10 @@ class TestGoldenOutputs:
         assert lines[1] == "kappa = 1.471518"
         assert lines[2] == "lr_at_k = 1.471518"
 
+    @pytest.mark.parametrize("dmu", [[], ["--dmu", "0"]])
+    def test_threshold_without_bias_prints_only_k(self, capsys, dmu):
+        assert run(capsys, "threshold", "--alpha", "0.1", *dmu) == (0, "1.609438\n", "")
+
     def test_power(self, capsys):
         code, out, _ = run(capsys, "power", "--alpha", "0.1", "--dmu", "1")
         assert code == 0
@@ -179,6 +183,29 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ") and "must be finite" in err
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--alpha", "0.1", "--dmu", "inf", "--tail", "two-sided"],
+            ["power", "--alpha", "0.1", "--dmu", "1", "--eps", "0"],
+            ["roc", "--dmu", "1", "--grid", "0"],
+            ["interval", "--alpha", "0.05", "--beta-bar", "1.5"],
+            ["kl", "--dmu", "1", "--s", "0"],
+            ["kl-sweep", "--theta-list", "0.5"],
+            ["simulate", "--dmu", "1", "--alpha", "0", "--samples", "100"],
+            ["threshold", "--alpha", "0.1", "--dmu", "nan"],
+            ["kl-sweep", "--eps-list", "1", "--eps-start", "nan"],
+        ],
+    )
+    def test_domain_error_writes_one_error_line_and_nothing_else(
+        self, capsys, tmp_path, monkeypatch, argv
+    ):
+        monkeypatch.setenv("LAPDETECT_OUT_DIR", str(tmp_path))
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize(
         "argv",
