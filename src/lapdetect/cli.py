@@ -10,11 +10,12 @@ Subcommands
     simulate    Monte Carlo validation of the closed forms (JSON report)
 
 Each handler returns the text it reports; only ``main`` writes stdout, and
-only on success. Exit codes: 0 success, 2 usage error, 3 domain error,
-which writes one ``error:`` line to stderr and nothing to stdout. Scalar
-output uses 7 significant digits; CSV artifacts carry 17. Files default
-into $LAPDETECT_OUT_DIR (falling back to the working directory) unless
---out gives an explicit path.
+only on success. Exit codes: 0 success, 1 stdout closed before the text
+was written, 2 usage error, 3 domain error, which writes one ``error:``
+line to stderr and nothing to stdout. Scalar output uses 7 significant
+digits; CSV artifacts carry 17. Files default into $LAPDETECT_OUT_DIR
+(falling back to the working directory) unless --out gives an explicit
+path.
 """
 
 from __future__ import annotations
@@ -24,10 +25,10 @@ import json
 import math
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
-from . import detector, divergence, mechanism
+from . import detector, divergence, mechanism, montecarlo
 from .detector import DetectionTest, TailDirection
 from .mechanism import AttackSpec, MechanismConfig
 from .quadrature import QuadratureError
@@ -111,21 +112,14 @@ def _cmd_kl(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     p0, p1 = mechanism.hypothesis_pair(cfg, AttackSpec(x_a=args.dmu))
     report = divergence.kl_dp_check(p0, p1, cfg.eps)
-    form = "canonical"
-    d_selected = report.d_closed
+    fields = asdict(report)
     if args.kl_variant and args.dmu < 0.0:
-        d_selected = divergence.kl_laplace_variant(p0, p1)
-        form = "variant"
-    fields = {
-        "d_closed": d_selected,
-        "d_quadrature": report.d_quadrature,
-        "epsilon": report.epsilon,
-        "bound": report.bound,
-        "violated": d_selected > report.bound,
-        "form": form,
-    }
-    if form == "variant":
-        fields["d_canonical"] = report.d_closed
+        d = divergence.kl_laplace_variant(p0, p1)
+        fields.update(
+            d_closed=d, violated=d > report.bound, form="variant", d_canonical=report.d_closed
+        )
+    else:
+        fields["form"] = "canonical"
     if args.format == "json":
         return json.dumps(fields, indent=2)
     lines = []
@@ -170,7 +164,6 @@ def _cmd_kl_sweep(args: argparse.Namespace) -> str:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> str:
-    from . import montecarlo  # its calls import numpy, which no other subcommand needs
     if args.sweep:
         rows = montecarlo.run_grid(
             s=args.s,
@@ -302,10 +295,17 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        print(args.handler(args))
+        text = args.handler(args)
     except (ValueError, QuadratureError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:  # stdout closed; on devnull the exit flush cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     return 0
 
 

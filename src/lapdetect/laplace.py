@@ -51,9 +51,13 @@ class RngStream:
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` i.i.d. uniforms strictly inside (0, 1)."""
+        return self._lattice(n) * _U_SCALE
+
+    def _lattice(self, n: int) -> np.ndarray:
+        """``n`` i.i.d. int64 lattice points k, uniform on [1, 2^53 - 1]."""
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
-        return self.generator().integers(1, _U_DENOM, size=n) * _U_SCALE
+        return self.generator().integers(1, _U_DENOM, size=n)
 
 
 @dataclass(frozen=True)
@@ -128,10 +132,8 @@ class LaplaceDist:
         The Monte Carlo harness counts detections among these same draws,
         forming only the few near a threshold (``_count``).
         """
-        if n < 0:
-            raise ValueError(f"sample count must be nonnegative, got {n}")
         self._reach()
-        return self._transform(rng.generator().integers(1, _U_DENOM, size=n))
+        return self._transform(rng._lattice(n))
 
     def _reach(self) -> tuple[float, float]:
         """The extreme draws mu -+ 52 ln 2 b, those of lattice points 1 and 2^53 - 1.
@@ -163,7 +165,7 @@ class LaplaceDist:
         monotone float operations round by at most 2^-53 of |q| + |t - x_a| + |x_a|.
         """
         import numpy as np
-        k = rng.generator().integers(1, _U_DENOM, size=m)
+        k = rng._lattice(m)
         hits = 0
         for t, below in ((lo, True), (hi, False)):
             if not math.isfinite(t):

@@ -1,5 +1,6 @@
 """CLI tests: golden outputs, exit codes, artifacts, dispatch coverage."""
 
+import hashlib
 import inspect
 import json
 import os
@@ -49,6 +50,36 @@ class TestModuleEntry:
         proc = self._spawn("threshold", "--alpha", "2")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["threshold", "--alpha", "0.1", "--dmu", "1"],
+            ["simulate", "--dmu", "1", "--samples", "100"],
+        ],
+        ids=["threshold", "simulate"],
+    )
+    def test_closed_stdout_exits_one_with_empty_stderr(self, argv, unbuffered):
+        # A pipe whose read end is closed: each write to it fails with EPIPE.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "lapdetect.cli", *argv],
+                env={**env, "PYTHONPATH": str(src)},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+                timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (1, "")
 
 
 class TestGoldenOutputs:
@@ -128,6 +159,34 @@ class TestGoldenOutputs:
         code, out, _ = run(capsys, "kl", "--dmu", "1", "--kl-variant")
         assert code == 0
         assert "form = canonical" in out
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ["--dmu", "3"],
+                "90fbb9a63b80ddfccbaff22a3ef4512dd8ca47469763eae0d6650c9e4af96ca5",
+            ),
+            (
+                ["--dmu", "3", "--format", "json"],
+                "ca06b52b7466372139afc01465774ed7dfa3cd317f607b3e60781e436b01f012",
+            ),
+            (
+                ["--dmu", "-3", "--kl-variant"],
+                "c6b2abc9e281808c552de568380aaf5041346a830aa6ec4c56925f09fc5717ce",
+            ),
+            (
+                ["--dmu", "-3", "--kl-variant", "--format", "json"],
+                "5bd1f43bd9ba9e7d9dbba4ebb1853a801301cee25b1686540d2e70380ca48871",
+            ),
+        ],
+        ids=["text", "json", "variant-text", "variant-json"],
+    )
+    def test_kl_bytes_off_zero(self, capsys, argv, digest):
+        # SHA-256 of the whole stdout: key order, number format and JSON layout.
+        code, out, err = run(capsys, "kl", "--mu0", "5", "--theta", "2", *argv)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 class TestExitCodes:

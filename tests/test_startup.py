@@ -1,7 +1,8 @@
 """numpy stays off the start-up path of the closed-form CLI subcommands.
 
-``lapdetect`` loads ``montecarlo`` on first use, and every module imports
-numpy only inside the array, sampling and simulation calls that need it.
+``import lapdetect`` loads every module, ``montecarlo`` included, and every
+module imports numpy only inside the array, sampling and simulation calls
+that need it.
 The guards run in a fresh interpreter, because the test process has numpy
 loaded already.
 """
@@ -63,6 +64,7 @@ LAZY_GUARD = """
 import sys
 
 import lapdetect
+assert "lapdetect.montecarlo" in sys.modules and "numpy" not in sys.modules
 from lapdetect import cli
 
 assert not hasattr(lapdetect, "no_such_name")
@@ -73,8 +75,8 @@ assert "numpy" not in sys.modules
 
 
 def test_lazy_attributes_and_montecarlo_import_without_numpy():
-    # The lazy hook imports montecarlo for any name it is asked for, so
-    # montecarlo itself must not import numpy until a simulation runs.
+    # ``import lapdetect`` imports montecarlo, so montecarlo itself must not
+    # import numpy until a simulation runs.
     proc = _fresh(LAZY_GUARD)
     assert proc.returncode == 0, proc.stderr
 
