@@ -7,8 +7,8 @@ detectable-bias intervals, KL divergence accounting against the e^eps
 admissibility bound, and Monte Carlo validation of every closed form.
 
 The public surface is each module's ``__all__``, re-exported here.
-``import lapdetect`` loads every module, and none imports numpy at import
-time; the array, sampling and simulation calls import it when they run.
+``import lapdetect`` loads every module, and none imports numpy, json or
+csv at import time: numpy, json and csv load inside the calls that need them.
 """
 
 from . import detector, divergence, laplace, mechanism, montecarlo, quadrature
@@ -19,7 +19,7 @@ from .mechanism import *  # noqa: F403
 from .montecarlo import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.7.2"
+__version__ = "0.8.0"
 
 __all__ = [
     name

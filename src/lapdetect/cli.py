@@ -21,11 +21,9 @@ path.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 from . import detector, divergence, mechanism, montecarlo
@@ -87,7 +85,7 @@ def _cmd_threshold(args: argparse.Namespace) -> str:
     kappa = detector.kappa(test, attack)
     # The ratio does not depend on mu0: evaluate it at the offset in the
     # frame centred on mu0, where the region is not lost to rounding.
-    lr = detector.likelihood_ratio(test.offset, replace(cfg, mu0=0.0), attack)
+    lr = detector.likelihood_ratio(test.offset, cfg._replace(mu0=0.0), attack)
     return f"{_fmt(test.k)}\nkappa = {_fmt(kappa)}\nlr_at_k = {_fmt(lr)}"
 
 
@@ -112,7 +110,7 @@ def _cmd_kl(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
     p0, p1 = mechanism.hypothesis_pair(cfg, AttackSpec(x_a=args.dmu))
     report = divergence.kl_dp_check(p0, p1, cfg.eps)
-    fields = asdict(report)
+    fields = report._asdict()
     if args.kl_variant and args.dmu < 0.0:
         d = divergence.kl_laplace_variant(p0, p1)
         fields.update(
@@ -121,6 +119,7 @@ def _cmd_kl(args: argparse.Namespace) -> str:
     else:
         fields["form"] = "canonical"
     if args.format == "json":
+        import json
         return json.dumps(fields, indent=2)
     lines = []
     for key, value in fields.items():

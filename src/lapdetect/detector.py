@@ -31,13 +31,13 @@ from __future__ import annotations
 import io
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 from itertools import repeat
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import _csv
+from ._record import _Record
 from .mechanism import AttackSpec, MechanismConfig, hypothesis_pair
 
 if TYPE_CHECKING:
@@ -154,8 +154,7 @@ def likelihood_ratio(
         return np.exp(np.abs(z - h0.mu) / h0.b - np.abs(z - h1.mu) / h1.b) / cfg.theta
 
 
-@dataclass(frozen=True)
-class DetectionTest:
+class DetectionTest(_Record):
     """A calibrated test: size alpha and critical region (lo, hi).
 
     ``lo`` and ``hi`` are offsets from mu0 in units of z: the test rejects
@@ -165,12 +164,13 @@ class DetectionTest:
     than 1e-12, so a DetectionTest is consistent by invariant.
     """
 
-    alpha: float
-    cfg: MechanismConfig
-    lo: float
-    hi: float
+    __slots__ = ("alpha", "cfg", "lo", "hi")
 
-    def __post_init__(self):
+    def __init__(self, alpha: float, cfg: MechanismConfig, lo: float, hi: float):
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
         if not math.isfinite(self.offset):
             raise ValueError(f"threshold offset must be finite, got {self.offset}")
         if not (self.lo == -math.inf or self.hi == math.inf or 0.0 <= self.hi == -self.lo):
@@ -259,17 +259,14 @@ class RocPoint(NamedTuple):
     power: float
 
 
-@dataclass(frozen=True)
-class RocCurve:
+class RocCurve(_Record):
     """Ordered ROC samples plus trapezoid AUC over [(0,0), ..., (1,1)]."""
 
-    direction: TailDirection
-    points: tuple[RocPoint, ...]
-    auc: float
+    __slots__ = ("direction", "points", "auc")
 
-    def __post_init__(self):
-        alphas = [p.alpha for p in self.points]
-        powers = [p.power for p in self.points]
+    def __init__(self, direction: TailDirection, points: tuple[RocPoint, ...], auc: float):
+        alphas = [p.alpha for p in points]
+        powers = [p.power for p in points]
         # Each pair check fails at a NaN; a one-point curve has no pairs.
         if any(map(math.isnan, alphas[:1] + powers[:1])):
             raise ValueError("ROC sizes and powers must not be NaN")
@@ -279,8 +276,11 @@ class RocCurve:
         # faithful rounding of exp can invert near-saturated neighbors.
         if not all(p2 >= p1 - 1e-12 for p1, p2 in zip(powers, powers[1:])):
             raise ValueError("ROC powers must be nondecreasing in alpha, without NaN")
-        if not 0.0 <= self.auc <= 1.0:
-            raise ValueError(f"AUC must lie in [0, 1], got {self.auc}")
+        if not 0.0 <= auc <= 1.0:
+            raise ValueError(f"AUC must lie in [0, 1], got {auc}")
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "auc", auc)
 
 
 def roc_curve(
@@ -314,12 +314,14 @@ def roc_curve(
     return RocCurve(direction=direction, points=points, auc=min(auc, 1.0))
 
 
-@dataclass(frozen=True)
-class BiasInterval:
+class BiasInterval(_Record):
     """Symmetric interval of biases, (s/eps) log(alpha beta_bar^theta) on each side."""
 
-    lo: float
-    hi: float
+    __slots__ = ("lo", "hi")
+
+    def __init__(self, lo: float, hi: float):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
 
 def bias_interval(

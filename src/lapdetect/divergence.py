@@ -20,12 +20,12 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 from . import _csv
+from ._record import _Record
 from .laplace import LaplaceDist
 from .quadrature import _gauss_kronrod
 
@@ -48,15 +48,19 @@ _LADDER_STEPS = (1.0, 2.0, 3.0, 4.5, 6.0, 8.0, 10.5, 13.5, 17.0, 21.0, 26.0, 31.
 _SWEEP_HEADER = ["epsilon", "theta", "dmu_over_s", "kl", "bound", "violated"]
 
 
-@dataclass(frozen=True)
-class KlReport:
+class KlReport(_Record):
     """Closed-form and quadrature divergence next to the e^eps admissibility bound."""
 
-    d_closed: float
-    d_quadrature: float
-    epsilon: float
-    bound: float
-    violated: bool
+    __slots__ = ("d_closed", "d_quadrature", "epsilon", "bound", "violated")
+
+    def __init__(
+        self, d_closed: float, d_quadrature: float, epsilon: float, bound: float, violated: bool
+    ):
+        object.__setattr__(self, "d_closed", d_closed)
+        object.__setattr__(self, "d_quadrature", d_quadrature)
+        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "bound", bound)
+        object.__setattr__(self, "violated", violated)
 
 
 def _log_ratio(b1: float, b0: float) -> float:
@@ -114,8 +118,9 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
 
     Raises:
         ValueError: If a scale is so small (at most 2**-1024) that its
-            reciprocal overflows and the integrand would be NaN, or if m
-            overflows, where the integrand is inf and no panel can converge.
+            reciprocal overflows and the integrand would be NaN, if m
+            overflows, where the integrand is inf and no panel can converge,
+            or if either end of the range leaves the float range.
         QuadratureError: If the subdivision budget cannot reach ``tol``.
     """
     if not tol > 0.0:
@@ -143,14 +148,15 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
             "cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
             f"overflows (b0/b1 = {p0.b * ib1!r}, |mu1 - mu0|/b1 = {(hi - lo) * ib1!r})"
         )
+    a, b = lo - 40.0 * p0.b, hi + 40.0 * p0.b
+    if not (-math.inf < a and b < math.inf):
+        raise ValueError(f"cannot integrate over [{a!r}, {b!r}]: locations -+ 40 b0 overflow")
     breaks = [mu0, mu1]
     for k in _LADDER_STEPS:
         breaks.append(mu0 - k * p0.b)
         breaks.append(mu0 + k * p0.b)
     tol = max(tol, 2.0**-44 * m)
-    return _gauss_kronrod(
-        integrand, lo - 40.0 * p0.b, hi + 40.0 * p0.b, tol, breakpoints=breaks
-    )
+    return _gauss_kronrod(integrand, a, b, tol, breakpoints=breaks)
 
 
 def _dp_bound(epsilon: float) -> float:
@@ -167,13 +173,7 @@ def kl_dp_check(p0: LaplaceDist, p1: LaplaceDist, epsilon: float) -> KlReport:
         raise ValueError(f"privacy parameter must be positive, got {epsilon}")
     d = kl_laplace(p0, p1)
     bound = _dp_bound(epsilon)
-    return KlReport(
-        d_closed=d,
-        d_quadrature=kl_quadrature(p0, p1),
-        epsilon=epsilon,
-        bound=bound,
-        violated=d > bound,
-    )
+    return KlReport(d, kl_quadrature(p0, p1), epsilon, bound, d > bound)
 
 
 def kl_sweep(

@@ -11,8 +11,9 @@ The array and sampling paths import numpy when they are called.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
+
+from ._record import _Record
 
 if TYPE_CHECKING:
     import numpy as np
@@ -29,8 +30,7 @@ _U_HALF = float(1 << 52)  # the lattice point of q = 0, where draws equal mu
 _REACH = 52.0 * math.log(2.0)
 
 
-@dataclass(frozen=True)
-class RngStream:
+class RngStream(_Record):
     """Deterministic random stream keyed by (seed, stream_id).
 
     A stream is a stateless handle: every generator derived from it starts
@@ -39,8 +39,11 @@ class RngStream:
     sequences; use them as replicate indices.
     """
 
-    seed: int
-    stream_id: int = 0
+    __slots__ = ("seed", "stream_id")
+
+    def __init__(self, seed: int, stream_id: int = 0):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "stream_id", stream_id)
 
     def generator(self) -> np.random.Generator:
         """Fresh generator positioned at the start of this stream."""
@@ -60,25 +63,24 @@ class RngStream:
         return self.generator().integers(1, _U_DENOM, size=n)
 
 
-@dataclass(frozen=True)
-class LaplaceDist:
+class LaplaceDist(_Record):
     """Laplace (double exponential) distribution with location mu, scale b.
 
     Density (1/2b) exp(-|z - mu| / b); variance 2 b^2. mu must be finite
     and b must lie in (0, inf).
     """
 
-    mu: float
-    b: float
+    __slots__ = ("mu", "b")
 
-    def __post_init__(self):
+    def __init__(self, mu: float, b: float):
         # Plain floats keep the scalar fast paths free of numpy promotion.
-        object.__setattr__(self, "mu", float(self.mu))
-        object.__setattr__(self, "b", float(self.b))
-        if not math.isfinite(self.mu):
-            raise ValueError(f"location must be finite, got mu={self.mu}")
-        if not 0.0 < self.b < math.inf:
-            raise ValueError(f"scale must be positive and finite, got b={self.b}")
+        mu, b = float(mu), float(b)
+        if not math.isfinite(mu):
+            raise ValueError(f"location must be finite, got mu={mu}")
+        if not 0.0 < b < math.inf:
+            raise ValueError(f"scale must be positive and finite, got b={b}")
+        object.__setattr__(self, "mu", mu)
+        object.__setattr__(self, "b", b)
 
     def pdf(self, z: float | np.ndarray) -> float | np.ndarray:
         """Density at ``z``; strictly positive and symmetric about mu."""

@@ -15,12 +15,11 @@ which is exactly the pair returned by :func:`hypothesis_pair`.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from ._record import _Record
 from .laplace import LaplaceDist, RngStream
 
 if TYPE_CHECKING:
@@ -38,8 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class MechanismConfig:
+class MechanismConfig(_Record):
     """Laplace mechanism parameters plus the attack's scale inflation.
 
     Args:
@@ -52,14 +50,11 @@ class MechanismConfig:
     All four must be finite, and so must b1 >= b0 > 0.
     """
 
-    s: float
-    eps: float
-    theta: float = 1.0
-    mu0: float = 0.0
+    __slots__ = ("s", "eps", "theta", "mu0")
 
-    def __post_init__(self):
-        for name in ("s", "eps", "theta", "mu0"):
-            value = float(getattr(self, name))
+    def __init__(self, s: float, eps: float, theta: float = 1.0, mu0: float = 0.0):
+        for name, value in zip(self._fields, (s, eps, theta, mu0)):
+            value = float(value)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {name}={value}")
             object.__setattr__(self, name, value)
@@ -89,8 +84,7 @@ class MechanismConfig:
         return LaplaceDist(self.mu0, self.b0)
 
 
-@dataclass(frozen=True)
-class AttackSpec:
+class AttackSpec(_Record):
     """A single injected record of value x_a, shifting the release by x_a.
 
     x_a may be negative but must be finite; x_a = 0 is the degenerate
@@ -98,12 +92,13 @@ class AttackSpec:
     null (up to theta).
     """
 
-    x_a: float
+    __slots__ = ("x_a",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "x_a", float(self.x_a))
-        if not math.isfinite(self.x_a):
-            raise ValueError(f"attack bias must be finite, got x_a={self.x_a}")
+    def __init__(self, x_a: float):
+        x_a = float(x_a)
+        if not math.isfinite(x_a):
+            raise ValueError(f"attack bias must be finite, got x_a={x_a}")
+        object.__setattr__(self, "x_a", x_a)
 
     @property
     def direction(self) -> int:
@@ -111,22 +106,20 @@ class AttackSpec:
         return (self.x_a > 0) - (self.x_a < 0)
 
 
-@dataclass(frozen=True)
-class Dataset:
+class Dataset(_Record):
     """Records confined to [0, bound]; the sum query then has sensitivity = bound."""
 
-    records: tuple[float, ...] = field(default=())
-    bound: float = 1.0
+    __slots__ = ("records", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "records", tuple(float(r) for r in self.records))
-        if not self.bound >= 0.0:
-            raise ValueError(f"record bound must be nonnegative, got {self.bound}")
-        for i, r in enumerate(self.records):
-            if not 0.0 <= r <= self.bound:
-                raise ValueError(
-                    f"record {i} = {r} outside [0, {self.bound}]"
-                )
+    def __init__(self, records: tuple[float, ...] = (), bound: float = 1.0):
+        records = tuple(float(r) for r in records)
+        if not bound >= 0.0:
+            raise ValueError(f"record bound must be nonnegative, got {bound}")
+        for i, r in enumerate(records):
+            if not 0.0 <= r <= bound:
+                raise ValueError(f"record {i} = {r} outside [0, {bound}]")
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "bound", bound)
 
     @property
     def sensitivity(self) -> float:
@@ -172,6 +165,7 @@ def load_dataset(path: str | Path, bound: float) -> Dataset:
     A file whose first nonblank line is ``value`` is treated as CSV;
     anything else is parsed as one float per nonblank line.
     """
+    import csv
     text = Path(path).read_text()
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     if lines and lines[0].lower() == "value":

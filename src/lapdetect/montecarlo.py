@@ -13,14 +13,13 @@ attack pipeline simulates. It is the one many-draw detection path.
 from __future__ import annotations
 
 import io
-import json
 import math
-from dataclasses import asdict, dataclass
 from operator import itemgetter
 from pathlib import Path
 from typing import Sequence
 
 from . import _csv
+from ._record import _Record
 from .detector import DetectionTest, TailDirection
 from .laplace import _REACH, LaplaceDist, RngStream
 from .mechanism import (
@@ -51,45 +50,57 @@ _ROLE_SHIFT = 48
 GRID_CSV_HEADER = "eps,theta,dmu,alpha,alpha_hat,power,power_hat,pass"
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(_Record):
     """One simulation cell: mechanism, attack, test parameters, and budget."""
 
-    cfg: MechanismConfig
-    attack: AttackSpec
-    alpha: float
-    direction: TailDirection
-    n_trials: int
-    seed: int
+    __slots__ = ("cfg", "attack", "alpha", "direction", "n_trials", "seed")
 
-    def __post_init__(self):
-        if self.n_trials < 1:
-            raise ValueError(f"need at least one trial, got {self.n_trials}")
+    def __init__(
+        self, cfg: MechanismConfig, attack: AttackSpec, alpha: float,
+        direction: TailDirection, n_trials: int, seed: int,
+    ):
+        if n_trials < 1:
+            raise ValueError(f"need at least one trial, got {n_trials}")
+        object.__setattr__(self, "cfg", cfg)
+        object.__setattr__(self, "attack", attack)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "direction", direction)
+        object.__setattr__(self, "n_trials", n_trials)
+        object.__setattr__(self, "seed", seed)
 
 
-@dataclass(frozen=True)
-class SimReport:
+class SimReport(_Record):
     """Empirical error rates next to their closed-form counterparts.
 
     Half-widths are 3-sigma binomial: 3 sqrt(p_hat (1 - p_hat) / n). The
     report passes when both empirical rates sit inside their bands.
     """
 
-    alpha_hat: float
-    power_hat: float
-    alpha_closed: float
-    power_closed: float
-    half_width_alpha: float
-    half_width_power: float
-    passed: bool
+    __slots__ = (
+        "alpha_hat", "power_hat", "alpha_closed", "power_closed",
+        "half_width_alpha", "half_width_power", "passed",
+    )
+
+    def __init__(
+        self, alpha_hat: float, power_hat: float, alpha_closed: float, power_closed: float,
+        half_width_alpha: float, half_width_power: float, passed: bool,
+    ):
+        object.__setattr__(self, "alpha_hat", alpha_hat)
+        object.__setattr__(self, "power_hat", power_hat)
+        object.__setattr__(self, "alpha_closed", alpha_closed)
+        object.__setattr__(self, "power_closed", power_closed)
+        object.__setattr__(self, "half_width_alpha", half_width_alpha)
+        object.__setattr__(self, "half_width_power", half_width_power)
+        object.__setattr__(self, "passed", passed)
 
     def to_dict(self) -> dict:
         # Keys follow field order; ``passed``, the last field, is written "pass".
-        d = asdict(self)
+        d = self._asdict()
         d["pass"] = d.pop("passed")
         return d
 
     def to_json(self) -> str:
+        import json
         return json.dumps(self.to_dict(), indent=2)
 
 
@@ -156,18 +167,8 @@ def _simulate(
     power_closed = test.power(sim.attack)
     hw_alpha = _half_width(alpha_hat, n)
     hw_power = _half_width(power_hat, n)
-    return SimReport(
-        alpha_hat=alpha_hat,
-        power_hat=power_hat,
-        alpha_closed=alpha_closed,
-        power_closed=power_closed,
-        half_width_alpha=hw_alpha,
-        half_width_power=hw_power,
-        passed=(
-            abs(alpha_hat - alpha_closed) <= hw_alpha
-            and abs(power_hat - power_closed) <= hw_power
-        ),
-    )
+    passed = abs(alpha_hat - alpha_closed) <= hw_alpha and abs(power_hat - power_closed) <= hw_power
+    return SimReport(alpha_hat, power_hat, alpha_closed, power_closed, hw_alpha, hw_power, passed)
 
 
 def estimate_error_rates(sim: SimConfig, workers: int = 1) -> SimReport:

@@ -282,6 +282,14 @@ class TestExitCodes:
         assert err.startswith("error: cannot integrate") and "|mu1 - mu0|/b1 = inf" in err
         assert err.count("\n") == 1
 
+    def test_kl_with_a_range_past_the_float_range_exits_three(self, capsys):
+        # b0 = 5e306, so the quadrature's range mu -+ 40 b0 overflows at both ends.
+        code, out, err = run(capsys, "kl", "--dmu", "1", "--s", "5e306")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: cannot integrate over [-inf, inf]")
+        assert err.count("\n") == 1
+
 
 class TestArtifacts:
     def test_roc_csv(self, capsys, tmp_path):

@@ -4,7 +4,6 @@ Every closed form is checked against the quadrature oracles in
 tests/oracles.py; sampled cross-checks use fixed seeds.
 """
 
-import dataclasses
 import io
 import math
 
@@ -411,7 +410,7 @@ class TestDetectionTest:
 
     @pytest.mark.parametrize("direction", [RIGHT, LEFT, TWO])
     def test_region_fields_and_derived_names(self, direction):
-        assert [f.name for f in dataclasses.fields(DetectionTest)] == ["alpha", "cfg", "lo", "hi"]
+        assert DetectionTest._fields == ("alpha", "cfg", "lo", "hi")
         cfg = MechanismConfig(s=1.3, eps=0.7, mu0=-1.7)
         t = DetectionTest.from_alpha(0.1, cfg, direction)
         assert {"lo": t.lo, "hi": t.hi} == region(direction, t.offset)

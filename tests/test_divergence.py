@@ -189,6 +189,31 @@ class TestKlQuadrature:
             kl_quadrature(p0, p1)
         assert what in str(info.value)
 
+    @pytest.mark.parametrize(
+        "mu0, mu1, b0, ends",
+        [
+            (0.0, 1.0, 5e306, "[-inf, inf]"),
+            (1e308, 1e308, 3e306, f"[{1e308 - 40.0 * 3e306!r}, inf]"),
+            (-1e308, -1e308, 3e306, f"[-inf, {40.0 * 3e306 - 1e308!r}]"),
+        ],
+    )
+    def test_range_past_the_float_range_is_rejected_before_integrating(
+        self, monkeypatch, mu0, mu1, b0, ends
+    ):
+        # Where a location -+ 40 b0 overflows, an end of the range is
+        # infinite, and the quadrature would spend its whole budget failing.
+        def unreachable(*args, **kwargs):
+            raise AssertionError("integrated over an infinite range")
+
+        monkeypatch.setattr(divergence, "_gauss_kronrod", unreachable)
+        with pytest.raises(ValueError, match="^cannot integrate over ") as info:
+            kl_quadrature(LaplaceDist(mu0, b0), LaplaceDist(mu1, 2.0 * b0))
+        assert ends in str(info.value)
+
+    def test_widest_range_within_the_float_range_integrates(self):
+        p0, p1 = LaplaceDist(0.0, 4e306), LaplaceDist(1.0, 4e306)
+        assert kl_quadrature(p0, p1) == pytest.approx(kl_laplace(p0, p1), abs=1e-9)
+
     def test_exhausted_budget_message_agrees_with_its_bound(self, monkeypatch):
         # Integrated to tol 1e-10 itself, not to kl_quadrature's floor, no
         # panel near the value 3e5 can meet its share, while the accepted

@@ -1,8 +1,11 @@
-"""numpy stays off the start-up path of the closed-form CLI subcommands.
+"""numpy and the heavier standard modules stay off the start-up path of
+the closed-form CLI subcommands.
 
 ``import lapdetect`` loads every module, ``montecarlo`` included, and every
 module imports numpy only inside the array, sampling and simulation calls
-that need it.
+that need it. The record types are plain ``__slots__`` classes, so neither
+``dataclasses`` nor the ``inspect`` it pulls in loads, and ``json`` and
+``csv`` load only inside the calls that write JSON or read a CSV dataset.
 The guards run in a fresh interpreter, because the test process has numpy
 loaded already.
 """
@@ -22,6 +25,7 @@ from lapdetect import _csv, montecarlo
 GUARD = """
 import sys
 
+before = set(sys.modules)
 import lapdetect
 import lapdetect.cli
 
@@ -38,6 +42,8 @@ for argv in (
 ):
     assert lapdetect.cli.main(argv) == 0, argv
     assert "numpy" not in sys.modules, argv
+added = set(sys.modules) - before
+assert not added & {"dataclasses", "inspect", "json", "csv"}, sorted(added)
 assert lapdetect.cli.main(["simulate", "--dmu", "1", "--samples", "100"]) == 0
 assert "numpy" in sys.modules, "simulate"
 """
