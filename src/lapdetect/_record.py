@@ -1,10 +1,11 @@
 """The frozen value type behind the package's record classes.
 
-A record names its fields in ``__slots__``, and its ``__init__`` stores each
-with ``object.__setattr__``. ``_Record`` gives what a frozen dataclass gave:
-``==`` by class and fields, ``hash``, the repr ``Name(field=value, ...)``, an
-``AttributeError`` on assignment or deletion, and ``__reduce__`` for ``pickle``
-and ``copy``; as on a named tuple, ``_fields``, ``_asdict()`` and ``_replace()``.
+A record names its fields in ``__slots__``; its ``__init__`` checks its arguments
+and stores them in field order with ``_set``. ``_Record`` gives what a frozen
+dataclass gave: ``==`` by class and fields, ``hash``, the repr
+``Name(field=value, ...)``, an ``AttributeError`` on assignment or deletion,
+and ``__reduce__`` for ``pickle`` and ``copy``; as on a named tuple,
+``_fields``, ``_asdict()`` and ``_replace()``.
 """
 
 
@@ -13,6 +14,10 @@ class _Record:
 
     def __init_subclass__(cls):
         cls._fields = cls.__match_args__ = cls.__slots__
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

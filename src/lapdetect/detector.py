@@ -167,10 +167,7 @@ class DetectionTest(_Record):
     __slots__ = ("alpha", "cfg", "lo", "hi")
 
     def __init__(self, alpha: float, cfg: MechanismConfig, lo: float, hi: float):
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(alpha, cfg, lo, hi)
         if not math.isfinite(self.offset):
             raise ValueError(f"threshold offset must be finite, got {self.offset}")
         if not (self.lo == -math.inf or self.hi == math.inf or 0.0 <= self.hi == -self.lo):
@@ -278,9 +275,7 @@ class RocCurve(_Record):
             raise ValueError("ROC powers must be nondecreasing in alpha, without NaN")
         if not 0.0 <= auc <= 1.0:
             raise ValueError(f"AUC must lie in [0, 1], got {auc}")
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "points", points)
-        object.__setattr__(self, "auc", auc)
+        self._set(direction, points, auc)
 
 
 def roc_curve(
@@ -320,8 +315,7 @@ class BiasInterval(_Record):
     __slots__ = ("lo", "hi")
 
     def __init__(self, lo: float, hi: float):
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        self._set(lo, hi)
 
 
 def bias_interval(

@@ -56,11 +56,7 @@ class KlReport(_Record):
     def __init__(
         self, d_closed: float, d_quadrature: float, epsilon: float, bound: float, violated: bool
     ):
-        object.__setattr__(self, "d_closed", d_closed)
-        object.__setattr__(self, "d_quadrature", d_quadrature)
-        object.__setattr__(self, "epsilon", epsilon)
-        object.__setattr__(self, "bound", bound)
-        object.__setattr__(self, "violated", violated)
+        self._set(d_closed, d_quadrature, epsilon, bound, violated)
 
 
 def _log_ratio(b1: float, b0: float) -> float:

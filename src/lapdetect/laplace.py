@@ -33,24 +33,19 @@ _REACH = 52.0 * math.log(2.0)
 class RngStream(_Record):
     """Deterministic random stream keyed by (seed, stream_id).
 
-    A stream is a stateless handle: every generator derived from it starts
-    at the beginning of the same sequence, so identical keys always yield
+    A stream is a stateless handle: every draw from it starts at the
+    beginning of the same sequence, so identical keys always yield
     identical draws. Distinct stream_ids give statistically independent
-    sequences; use them as replicate indices.
+    sequences; use them as replicate indices. Both keys lie in [0, 2^64).
     """
 
     __slots__ = ("seed", "stream_id")
 
     def __init__(self, seed: int, stream_id: int = 0):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "stream_id", stream_id)
-
-    def generator(self) -> np.random.Generator:
-        """Fresh generator positioned at the start of this stream."""
-        import numpy as np
-        # Mask to 64-bit words: SeedSequence rejects negative entropy.
-        key = (self.seed & 0xFFFFFFFFFFFFFFFF, self.stream_id & 0xFFFFFFFFFFFFFFFF)
-        return np.random.default_rng(np.random.SeedSequence(key))
+        for name, key in (("seed", seed), ("stream_id", stream_id)):
+            if not 0 <= key < 1 << 64:
+                raise ValueError(f"{name} must lie in [0, 2^64), got {name}={key}")
+        self._set(seed, stream_id)
 
     def uniforms(self, n: int) -> np.ndarray:
         """``n`` i.i.d. uniforms strictly inside (0, 1)."""
@@ -60,7 +55,9 @@ class RngStream(_Record):
         """``n`` i.i.d. int64 lattice points k, uniform on [1, 2^53 - 1]."""
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
-        return self.generator().integers(1, _U_DENOM, size=n)
+        import numpy as np
+        rng = np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
+        return rng.integers(1, _U_DENOM, size=n)
 
 
 class LaplaceDist(_Record):
@@ -79,8 +76,7 @@ class LaplaceDist(_Record):
             raise ValueError(f"location must be finite, got mu={mu}")
         if not 0.0 < b < math.inf:
             raise ValueError(f"scale must be positive and finite, got b={b}")
-        object.__setattr__(self, "mu", mu)
-        object.__setattr__(self, "b", b)
+        self._set(mu, b)
 
     def pdf(self, z: float | np.ndarray) -> float | np.ndarray:
         """Density at ``z``; strictly positive and symmetric about mu."""

@@ -1,4 +1,4 @@
-"""Bounded-sum query, Laplace release, and adversarial record injection.
+"""Bounded-sum query, the mechanism and its attack, and the hypothesis pair.
 
 Models the release pipeline under test: a server answers a sum query over
 records in [0, C] (sensitivity s = C), perturbs it with Lap(mu0, s/eps)
@@ -10,28 +10,24 @@ value, works with the residual release - q(x) and must choose between
     H0: residual ~ Lap(mu0, s/eps)          (no attack)
     H1: residual ~ Lap(mu0 + x_a, theta*s/eps)
 
-which is exactly the pair returned by :func:`hypothesis_pair`.
+which is exactly the pair returned by :func:`hypothesis_pair`. The
+releases q + z and (q + z) + x_a are formed only where they are simulated,
+in :func:`lapdetect.montecarlo.run_attack_experiment`.
 """
 
 from __future__ import annotations
 
 import math
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from ._record import _Record
-from .laplace import LaplaceDist, RngStream
-
-if TYPE_CHECKING:
-    import numpy as np
+from .laplace import LaplaceDist
 
 __all__ = [
     "MechanismConfig",
     "AttackSpec",
     "Dataset",
     "sum_query",
-    "noisy_release",
-    "inject_attack",
     "hypothesis_pair",
     "load_dataset",
 ]
@@ -53,11 +49,10 @@ class MechanismConfig(_Record):
     __slots__ = ("s", "eps", "theta", "mu0")
 
     def __init__(self, s: float, eps: float, theta: float = 1.0, mu0: float = 0.0):
-        for name, value in zip(self._fields, (s, eps, theta, mu0)):
-            value = float(value)
+        self._set(*map(float, (s, eps, theta, mu0)))
+        for name, value in zip(self._fields, self._values()):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {name}={value}")
-            object.__setattr__(self, name, value)
         if not self.s > 0.0:
             raise ValueError(f"sensitivity must be positive, got s={self.s}")
         if not self.eps > 0.0:
@@ -98,7 +93,7 @@ class AttackSpec(_Record):
         x_a = float(x_a)
         if not math.isfinite(x_a):
             raise ValueError(f"attack bias must be finite, got x_a={x_a}")
-        object.__setattr__(self, "x_a", x_a)
+        self._set(x_a)
 
     @property
     def direction(self) -> int:
@@ -118,8 +113,7 @@ class Dataset(_Record):
         for i, r in enumerate(records):
             if not 0.0 <= r <= bound:
                 raise ValueError(f"record {i} = {r} outside [0, {bound}]")
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "bound", bound)
+        self._set(records, bound)
 
     @property
     def sensitivity(self) -> float:
@@ -130,18 +124,6 @@ class Dataset(_Record):
 def sum_query(data: Dataset) -> float:
     """Exact sum of the records (empty dataset sums to 0)."""
     return math.fsum(data.records)
-
-
-def noisy_release(q_value: float, cfg: MechanismConfig, rng: RngStream) -> float:
-    """Release q_value + Z with Z ~ Lap(mu0, s/eps), deterministic per stream."""
-    return q_value + float(cfg.null_dist().sample(rng, 1)[0])
-
-
-def inject_attack(
-    release: float | np.ndarray, attack: AttackSpec
-) -> float | np.ndarray:
-    """The adversary shifts the published value(s) by x_a."""
-    return release + attack.x_a
 
 
 def hypothesis_pair(

@@ -61,12 +61,7 @@ class SimConfig(_Record):
     ):
         if n_trials < 1:
             raise ValueError(f"need at least one trial, got {n_trials}")
-        object.__setattr__(self, "cfg", cfg)
-        object.__setattr__(self, "attack", attack)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "direction", direction)
-        object.__setattr__(self, "n_trials", n_trials)
-        object.__setattr__(self, "seed", seed)
+        self._set(cfg, attack, alpha, direction, n_trials, seed)
 
 
 class SimReport(_Record):
@@ -85,23 +80,17 @@ class SimReport(_Record):
         self, alpha_hat: float, power_hat: float, alpha_closed: float, power_closed: float,
         half_width_alpha: float, half_width_power: float, passed: bool,
     ):
-        object.__setattr__(self, "alpha_hat", alpha_hat)
-        object.__setattr__(self, "power_hat", power_hat)
-        object.__setattr__(self, "alpha_closed", alpha_closed)
-        object.__setattr__(self, "power_closed", power_closed)
-        object.__setattr__(self, "half_width_alpha", half_width_alpha)
-        object.__setattr__(self, "half_width_power", half_width_power)
-        object.__setattr__(self, "passed", passed)
-
-    def to_dict(self) -> dict:
-        # Keys follow field order; ``passed``, the last field, is written "pass".
-        d = self._asdict()
-        d["pass"] = d.pop("passed")
-        return d
+        self._set(
+            alpha_hat, power_hat, alpha_closed, power_closed,
+            half_width_alpha, half_width_power, passed,
+        )
 
     def to_json(self) -> str:
         import json
-        return json.dumps(self.to_dict(), indent=2)
+        # Keys follow field order; ``passed``, the last field, is written "pass".
+        d = self._asdict()
+        d["pass"] = d.pop("passed")
+        return json.dumps(d, indent=2)
 
 
 def _half_width(p_hat: float, n: int) -> float:

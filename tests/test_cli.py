@@ -455,6 +455,25 @@ class TestSimulate:
         )
         assert code == 3
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_key_range_exits_three(self, capsys, tmp_path, seed):
+        # Masked to 64 bits, -1 drew seed 2^64 - 1's stream and 2^64 seed 0's.
+        path = tmp_path / "report.json"
+        code, out, err = run(
+            capsys, "simulate", "--dmu", "1", "--samples", "100",
+            "--seed", str(seed), "--out", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: seed must lie in [0, 2^64), got seed={seed}\n"
+        assert not path.exists()
+
+    def test_largest_seed_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--dmu", "1", "--samples", "100", "--seed", str(2**64 - 1),
+        )
+        assert code == 0
+        assert json.loads(out)["alpha_closed"] == pytest.approx(0.05)
+
     def test_sweep_appends_grid_csv(self, capsys, tmp_path):
         path = tmp_path / "grid.csv"
         code, _, _ = run(
@@ -467,9 +486,9 @@ class TestSimulate:
 
 
 # Ownership table: every public library operation is assigned to exactly one
-# subcommand, by topic; noisy_release, inject_attack, decide and LaplaceDist's
-# sample and pdf are not called by theirs. The test suite checks only that
-# this is a partition of the full operation registry.
+# subcommand, by topic; decide and LaplaceDist's sample and pdf are not called
+# by theirs. The test suite checks only that this is a partition of the full
+# operation registry.
 SUBCOMMAND_OPS = {
     "threshold": frozenset(
         {
@@ -508,8 +527,6 @@ SUBCOMMAND_OPS = {
             "montecarlo.run_grid",
             "montecarlo.write_grid_csv",
             "mechanism.sum_query",
-            "mechanism.noisy_release",
-            "mechanism.inject_attack",
             "mechanism.load_dataset",
             "detector.decide",
             "laplace.LaplaceDist.sample",

@@ -274,7 +274,8 @@ class TestConstruction:
         u = RngStream(3, 1).uniforms(10**5)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
-    def test_rng_stream_negative_seed_ok(self):
-        u = RngStream(-123, -4).uniforms(8)
-        v = RngStream(-123, -4).uniforms(8)
-        np.testing.assert_array_equal(u, v)
+    @pytest.mark.parametrize("key", [(-123, 4), (123, -4), (2**64, 0), (0, 2**64)])
+    def test_rng_stream_key_out_of_range_rejected(self, key):
+        # Masking such keys to 64 bits made -1 and 2^64 - 1 one stream.
+        with pytest.raises(ValueError, match=r"must lie in \[0, 2\^64\)"):
+            RngStream(*key)

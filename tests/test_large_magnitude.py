@@ -27,7 +27,6 @@ from lapdetect import (
     hypothesis_pair,
     kappa,
     montecarlo,
-    noisy_release,
     run_attack_experiment,
 )
 from lapdetect.cli import main
@@ -161,8 +160,6 @@ def test_sample_rejects_draws_that_overflow():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="overflow the float range"):
             cfg.null_dist().sample(RngStream(1), 5)
-        with pytest.raises(ValueError, match="overflow the float range"):
-            noisy_release(0.0, cfg, RngStream(1))
 
 
 def test_attack_rejects_releases_that_overflow():

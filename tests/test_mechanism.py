@@ -1,4 +1,4 @@
-"""Release pipeline tests: query, noising, injection, hypothesis setup."""
+"""Mechanism tests: query, noise, attack, hypothesis setup."""
 
 import math
 
@@ -12,9 +12,7 @@ from lapdetect import (
     MechanismConfig,
     RngStream,
     hypothesis_pair,
-    inject_attack,
     load_dataset,
-    noisy_release,
     sum_query,
 )
 
@@ -107,58 +105,22 @@ class TestSumQuery:
         assert sum_query(data) == pytest.approx(1.0, abs=1e-15)
 
 
-class TestNoisyRelease:
-    def test_additivity_with_fixed_stream(self):
-        cfg = MechanismConfig(s=1.0, eps=1.0)
-        rng = RngStream(seed=17, stream_id=3)
-        z = float(cfg.null_dist().sample(rng, 1)[0])
-        assert noisy_release(6.0, cfg, rng) == 6.0 + z
-
-    def test_deterministic(self):
-        cfg = MechanismConfig(s=1.0, eps=1.0)
-        a = noisy_release(0.0, cfg, RngStream(5))
-        b = noisy_release(0.0, cfg, RngStream(5))
-        assert a == b
-
-    def test_residual_identity_across_streams(self):
-        # release - q is bitwise the stream's noise draw: the residual the
-        # defender forms is exactly Lap(mu0, s/eps) distributed.
-        cfg = MechanismConfig(s=2.0, eps=0.8, mu0=0.5)
-        d = cfg.null_dist()
-        for i in range(1000):
-            rng = RngStream(seed=11, stream_id=i)
-            assert noisy_release(0.0, cfg, rng) == float(d.sample(rng, 1)[0])
-
+class TestReleaseNoise:
     def test_large_eps_variance_vanishes(self):
         # Var = 2 (s/eps)^2; for eps = 1e6 repeated releases barely move.
         cfg = MechanismConfig(s=1.0, eps=1e6)
-        rel = np.array([noisy_release(10.0, cfg, RngStream(1, i)) for i in range(2000)])
+        d = cfg.null_dist()
+        rel = 10.0 + np.array([d.sample(RngStream(1, i), 1)[0] for i in range(2000)])
         assert rel.var() == pytest.approx(2.0 * cfg.b0**2, rel=0.2)
         assert np.all(np.abs(rel - 10.0) < 1e-4)
 
     def test_mean_within_clt_band(self):
         # Residuals of n releases have mean within 3 sqrt(2) b / sqrt(n);
-        # checked on the bitwise-equal noise stream (see residual identity).
+        # a release q + z leaves the residual z, up to rounding.
         cfg = MechanismConfig(s=1.0, eps=1.0)
         n = 10**6
         z = cfg.null_dist().sample(RngStream(13), n)
         assert abs(z.mean()) < 3.0 * math.sqrt(2.0) * cfg.b0 / math.sqrt(n)
-
-
-class TestInjectAttack:
-    def test_positive_bias(self):
-        assert inject_attack(10.0, AttackSpec(2.0)) == 12.0
-
-    def test_negative_bias(self):
-        assert inject_attack(10.0, AttackSpec(-3.0)) == 7.0
-
-    def test_zero_is_identity(self):
-        assert inject_attack(10.0, AttackSpec(0.0)) == 10.0
-
-    def test_direction_sign(self):
-        assert AttackSpec(2.0).direction == 1
-        assert AttackSpec(-0.5).direction == -1
-        assert AttackSpec(0.0).direction == 0
 
 
 class TestHypothesisPair:
@@ -189,6 +151,11 @@ class TestHypothesisPair:
         h0, h1 = hypothesis_pair(cfg, AttackSpec(1.0))
         assert h1.b / h0.b == 1.5
 
+    def test_direction_sign(self):
+        assert AttackSpec(2.0).direction == 1
+        assert AttackSpec(-0.5).direction == -1
+        assert AttackSpec(0.0).direction == 0
+
 
 class TestLoadDataset:
     def test_csv_with_header(self, tmp_path):
@@ -214,9 +181,9 @@ class TestLoadDataset:
 def test_residual_keeps_laplace_shape():
     """KS check on the release pipeline residuals at n = 1e6.
 
-    noisy_release(q) - q is bitwise the stream's Laplace draw (see the
-    residual identity test), so the pipeline's residuals are sampled here
-    through the equivalent vectorized path to keep the test fast.
+    A release's residual (q + z) - q is the noise draw z up to rounding,
+    so the pipeline's residuals are sampled here as the draws themselves,
+    through the vectorized path, to keep the test fast.
     """
     cfg = MechanismConfig(s=1.0, eps=2.0)
     n = 10**6

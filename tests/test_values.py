@@ -5,6 +5,8 @@ hashes like its fields, reprs as ``Name(field=value, ...)``, refuses
 assignment and deletion with ``AttributeError``, survives ``pickle``,
 ``copy.copy`` and ``copy.deepcopy``, takes its fields as constructor
 parameters in order, and validates them with the messages pinned here.
+``_asdict()`` and ``_replace()`` work as on a named tuple, and ``_replace``
+validates through the constructor.
 """
 
 import copy
@@ -192,6 +194,32 @@ INVALID = [
     (RocCurve, (RIGHT, (_roc_point(0.5, 0.5),), 1.5), "AUC must lie in [0, 1], got 1.5"),
     (RocCurve, (RIGHT, (_roc_point(0.5, 0.5),), nan), "AUC must lie in [0, 1], got nan"),
     (SimConfig, (UNIT, AttackSpec(1.0), 0.1, RIGHT, 0, 1), "need at least one trial, got 0"),
+    (RngStream, (-1,), "seed must lie in [0, 2^64), got seed=-1"),
+    (RngStream, (2**64,), "seed must lie in [0, 2^64), got seed=18446744073709551616"),
+    (RngStream, (0, -1), "stream_id must lie in [0, 2^64), got stream_id=-1"),
+]
+
+# (class, one invalid change to its VALUES record, the exact ValueError message)
+REPLACE_INVALID = [
+    (RngStream, {"seed": -1}, "seed must lie in [0, 2^64), got seed=-1"),
+    (LaplaceDist, {"b": 0.0}, "scale must be positive and finite, got b=0.0"),
+    (MechanismConfig, {"mu0": inf}, "mu0 must be finite, got mu0=inf"),
+    (MechanismConfig, {"theta": 0.5}, "scale inflation must be >= 1, got theta=0.5"),
+    (AttackSpec, {"x_a": nan}, "attack bias must be finite, got x_a=nan"),
+    (Dataset, {"bound": 1.5}, "record 1 = 2.0 outside [0, 1.5]"),
+    (DetectionTest, {"hi": nan}, "threshold offset must be finite, got nan"),
+    (
+        DetectionTest,
+        {"alpha": 0.2},
+        "threshold(s) give size 0.10000000000000002, which is not alpha=0.2",
+    ),
+    (
+        RocCurve,
+        {"points": POINTS[::-1]},
+        "ROC grid sizes must be strictly increasing, without NaN",
+    ),
+    (RocCurve, {"auc": 1.5}, "AUC must lie in [0, 1], got 1.5"),
+    (SimConfig, {"n_trials": 0}, "need at least one trial, got 0"),
 ]
 
 
@@ -244,6 +272,21 @@ class TestValueType:
             assert type(twin) is cls
             assert twin == value and repr(twin) == text
 
+    def test_asdict_follows_fields_one_level_deep(self, cls, fields, text, other):
+        value = cls(*fields)
+        d = value._asdict()
+        assert list(d) == list(cls._fields) == [name for name, _ in SIGNATURES[cls]]
+        # Values are the fields themselves: a nested record stays a record.
+        assert all(d[name] is getattr(value, name) for name in cls._fields)
+
+    def test_replace(self, cls, fields, text, other):
+        value = cls(*fields)
+        twin = value._replace()
+        assert type(twin) is cls and twin is not value
+        assert twin == value and repr(twin) == text
+        changes = {name: o for name, f, o in zip(cls._fields, fields, other) if f != o}
+        assert value._replace(**changes) == cls(*other)
+
     def test_signature(self, cls, fields, text, other):
         params = inspect.signature(cls).parameters.values()
         empty = inspect.Parameter.empty
@@ -270,3 +313,17 @@ def test_numbers_are_stored_as_floats():
 def test_validation_messages(cls, args, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls(*args)
+
+
+def test_every_validating_type_is_covered_by_replace():
+    assert {case[0] for case in REPLACE_INVALID} == {case[0] for case in INVALID}
+
+
+@pytest.mark.parametrize("cls, changes, message", REPLACE_INVALID, ids=_ids(REPLACE_INVALID))
+def test_replace_raises_the_constructor_message(cls, changes, message):
+    value = cls(*{case[0]: case[1] for case in VALUES}[cls])
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(ValueError, match=pattern):
+        value._replace(**changes)
+    with pytest.raises(ValueError, match=pattern):
+        cls(**{**value._asdict(), **changes})
