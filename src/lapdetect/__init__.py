@@ -19,7 +19,7 @@ from .mechanism import *  # noqa: F403
 from .montecarlo import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     name

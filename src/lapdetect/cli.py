@@ -282,7 +282,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--sweep",
         action="store_true",
-        help="run the default validation grid and append rows to the CSV",
+        help="run the default validation grid and append rows to the CSV; reads only "
+        "--s, --samples, --seed, --workers and --out (the grid fixes the rest, right tail too)",
     )
     p.add_argument("--out", default=None, help="output path (JSON, or CSV with --sweep)")
     _mech_args(p)

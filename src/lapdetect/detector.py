@@ -227,9 +227,9 @@ def kappa(test: DetectionTest, attack: AttackSpec) -> float:
     if attack.direction == 0:
         raise ValueError("cutoff undefined for zero bias (hypotheses coincide)")
     cfg = test.cfg
-    expo = (cfg.eps / (cfg.theta * cfg.s)) * (
-        test.offset * (1.0 + cfg.theta) - attack.x_a
-    )
+    ts = cfg.theta * cfg.s  # rate = 1/b1, through b1 where theta*s overflows
+    rate = cfg.eps / ts if ts < math.inf else 1.0 / cfg.b1
+    expo = rate * (test.offset * (1.0 + cfg.theta) - attack.x_a)
     try:
         return math.exp(expo if attack.direction > 0 else -expo) / cfg.theta
     except OverflowError:

@@ -56,8 +56,12 @@ class RngStream(_Record):
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
         import numpy as np
-        rng = np.random.default_rng(np.random.SeedSequence((self.seed, self.stream_id)))
-        return rng.integers(1, _U_DENOM, size=n)
+        return np.random.default_rng(self._seed_sequence()).integers(1, _U_DENOM, size=n)
+
+    def _seed_sequence(self) -> np.random.SeedSequence:
+        """The numpy SeedSequence of this key: every draw and derived seed starts here."""
+        import numpy as np
+        return np.random.SeedSequence((self.seed, self.stream_id))
 
 
 class LaplaceDist(_Record):

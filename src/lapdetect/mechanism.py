@@ -72,8 +72,8 @@ class MechanismConfig(_Record):
 
     @property
     def b1(self) -> float:
-        """Alternative noise scale theta*s/eps."""
-        return self.theta * self.s / self.eps
+        """Alternative noise scale theta*s/eps; theta*(s/eps) where theta*s overflows."""
+        return ts / self.eps if (ts := self.theta * self.s) < math.inf else self.theta * self.b0
 
     def null_dist(self) -> LaplaceDist:
         return LaplaceDist(self.mu0, self.b0)

@@ -221,12 +221,11 @@ def run_grid(
     results do not depend on how cells are batched or ordered by callers.
     Cells run one after another; ``workers`` starts no threads.
     """
-    import numpy as np
     if grid is None:
         grid = default_grid()
     rows = []
     for i, (eps, theta, ratio, alpha) in enumerate(grid):
-        cell_seed = int(np.random.SeedSequence((seed, i)).generate_state(1, np.uint64)[0])
+        cell_seed = int(RngStream(seed, i)._seed_sequence().generate_state(1, "uint64")[0])
         sim = SimConfig(
             cfg=MechanismConfig(s=s, eps=eps, theta=theta),
             attack=AttackSpec(x_a=ratio * s),

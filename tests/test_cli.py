@@ -177,7 +177,7 @@ class TestGoldenOutputs:
             ),
             (
                 ["--dmu", "-3", "--kl-variant", "--format", "json"],
-                "5bd1f43bd9ba9e7d9dbba4ebb1853a801301cee25b1686540d2e70380ca48871",
+                "4eacb4f32321a1df0a2cd390968c347ac75d07bacb71f7dacdfb8b638557f9b5",
             ),
         ],
         ids=["text", "json", "variant-text", "variant-json"],
@@ -282,13 +282,25 @@ class TestExitCodes:
         assert err.startswith("error: cannot integrate") and "|mu1 - mu0|/b1 = inf" in err
         assert err.count("\n") == 1
 
-    def test_kl_with_a_range_past_the_float_range_exits_three(self, capsys):
-        # b0 = 5e306, so the quadrature's range mu -+ 40 b0 overflows at both ends.
-        code, out, err = run(capsys, "kl", "--dmu", "1", "--s", "5e306")
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: cannot integrate over [-inf, inf]")
-        assert err.count("\n") == 1
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--dmu", "1", "--s", "5e306"],
+            ["--mu0", "1e15", "--dmu", "1", "--theta", "1.5"],
+            ["--mu0", "1e8", "--s", "1e-3", "--dmu", "1e-3", "--theta", "1.5"],
+            ["--mu0", "1e12", "--s", "1e-6", "--dmu", "1e-6", "--theta", "1.5"],
+        ],
+        ids=["s-5e306", "mu0-1e15", "mu0-1e8-s-1e-3", "mu0-1e12-s-1e-6"],
+    )
+    def test_kl_at_extreme_location_or_scale_answers(self, capsys, argv):
+        # The quadrature runs in u = (z - mu0)/b0, so neither mu -+ 40 b0
+        # overflowing (b0 = 5e306) nor nodes that round to mu0 far from the
+        # origin reach it: it meets the closed form to the printed digits.
+        code, out, err = run(capsys, "kl", *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("d_closed = ") and lines[1].startswith("d_quadrature = ")
+        assert lines[0].split(" = ")[1] == lines[1].split(" = ")[1]
 
 
 class TestArtifacts:
@@ -461,6 +473,19 @@ class TestSimulate:
         path = tmp_path / "report.json"
         code, out, err = run(
             capsys, "simulate", "--dmu", "1", "--samples", "100",
+            "--seed", str(seed), "--out", str(path),
+        )
+        assert (code, out) == (3, "")
+        assert err == f"error: seed must lie in [0, 2^64), got seed={seed}\n"
+        assert not path.exists()
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_sweep_seed_outside_key_range_exits_three(self, capsys, tmp_path, seed):
+        # Each cell's seed is drawn from the stream (seed, cell index), so the
+        # sweep checks the key range before it runs a cell.
+        path = tmp_path / "grid.csv"
+        code, out, err = run(
+            capsys, "simulate", "--sweep", "--samples", "10",
             "--seed", str(seed), "--out", str(path),
         )
         assert (code, out) == (3, "")

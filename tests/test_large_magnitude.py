@@ -226,6 +226,17 @@ def _alpha_power(path):
     return [(row[0], row[3]) for row in rows]
 
 
+@pytest.mark.parametrize("command", ["power", "threshold"])
+def test_theta_times_s_past_the_float_range(capsys, command):
+    # s = 1e308, eps = 10, theta = 2: theta*s overflows, but b0 = 1e307 and
+    # b1 = 2e307 are those of s = 1e307, eps = 1, so the output (threshold's
+    # kappa included) is theirs.
+    common = [command, "--alpha", "0.1", "--dmu", "1", "--theta", "2"]
+    wide = _run(capsys, *common, "--s", "1e308", "--eps", "10")
+    assert wide == _run(capsys, *common, "--s", "1e307", "--eps", "1")
+    assert wide[0] == 0
+
+
 def test_power_far_from_origin(capsys):
     # Right-tail power 1 - (1/2) e^(ln 0.6 - 1) = 1 - 1/(1.2 e), as at mu0 = 0.
     code, out, err = _run(
@@ -344,7 +355,10 @@ def test_kl_sweep_bound_beyond_double_range_is_inf(capsys, tmp_path):
 
 def test_kl_at_a_scale_too_small_to_integrate_exits_three(capsys):
     # b0 = 1e-310: the closed form and the bound are inf, but the quadrature
-    # oracle cannot run where 1/b0 overflows.
+    # oracle cannot run where |mu1 - mu0|/b0 overflows.
     code, out, err = _run(capsys, "kl", "--dmu", "1", "--s", "1e-300", "--eps", "1e10")
     assert (code, out) == (3, "")
-    assert err == "error: cannot integrate at scale 1e-310: its reciprocal overflows\n"
+    assert err == (
+        "error: cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
+        "overflows (b0/b1 = 1.0, |mu1 - mu0|/b1 = inf)\n"
+    )

@@ -23,6 +23,17 @@ class TestMechanismConfig:
         assert cfg.b0 == 2.0
         assert cfg.b1 == 4.0
 
+    @pytest.mark.parametrize(
+        "s, eps, theta, b1",
+        [
+            (1.3, 0.7, 1.5, 1.5 * 1.3 / 0.7),
+            (7.0, 3e-5, 1.1, 1.1 * 7.0 / 3e-5),
+            (1e308, 10.0, 2.0, 2e307),  # theta*s overflows, theta*(s/eps) does not
+        ],
+    )
+    def test_b1(self, s, eps, theta, b1):
+        assert MechanismConfig(s=s, eps=eps, theta=theta).b1 == b1
+
     def test_theta_one_permitted(self):
         cfg = MechanismConfig(s=1.0, eps=1.0, theta=1.0)
         assert cfg.b1 == cfg.b0
