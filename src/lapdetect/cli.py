@@ -108,7 +108,8 @@ def _cmd_interval(args: argparse.Namespace) -> str:
 
 def _cmd_kl(args: argparse.Namespace) -> str:
     cfg = _cfg(args)
-    p0, p1 = mechanism.hypothesis_pair(cfg, AttackSpec(x_a=args.dmu))
+    # D depends only on the shift and the scales; centred on mu0 the shift keeps its bits.
+    p0, p1 = mechanism.hypothesis_pair(cfg._replace(mu0=0.0), AttackSpec(x_a=args.dmu))
     report = divergence.kl_dp_check(p0, p1, cfg.eps)
     fields = report._asdict()
     if args.kl_variant and args.dmu < 0.0:

@@ -27,6 +27,7 @@ from typing import Sequence
 from . import _csv
 from ._record import _Record
 from .laplace import LaplaceDist
+from .mechanism import MechanismConfig
 from .quadrature import _gauss_kronrod
 
 __all__ = [
@@ -130,7 +131,8 @@ def kl_quadrature(p0: LaplaceDist, p1: LaplaceDist, tol: float = 1e-10) -> float
     if not m < math.inf:
         raise ValueError(
             "cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
-            f"overflows (b0/b1 = {r!r}, |mu1 - mu0|/b1 = {abs(p1.mu - p0.mu) / p1.b!r})"
+            f"overflows (b0/b1 = {r!r}, |mu1 - mu0|/b0 = {abs(d)!r}, "
+            f"|mu1 - mu0|/b1 = {abs(p1.mu - p0.mu) / p1.b!r})"
         )
     exp = math.exp
 
@@ -170,41 +172,28 @@ def kl_sweep(
 ) -> list[dict]:
     """Divergence vs privacy budget over a (theta, dmu/s, eps) grid.
 
-    For each cell, p0 = Lap(mu0, s/eps) and p1 = Lap(mu0 + dmu, theta s/eps)
-    are the no-attack and attack noise laws; rows carry the closed form and
-    the e^eps bound, flagging cells where the bound is violated.
+    For each cell, p0 = Lap(0, s/eps) and p1 = Lap(dmu, theta (s/eps)),
+    dmu = dmu_over_s s, are the no-attack and attack noise laws centred on
+    mu0: the divergence depends only on the shift and the scales, so mu0 is
+    checked, with s and each (theta, eps), by MechanismConfig but moves no
+    row. Rows carry the closed form and the e^eps bound, flagging cells
+    where the bound is violated.
     """
-    if not 0.0 < s < math.inf:
-        raise ValueError(f"sensitivity must be finite and > 0, got s={s}")
-    if not abs(mu0) < math.inf:
-        raise ValueError(f"null location must be finite, got mu0={mu0}")
     if not (len(eps_grid) and len(thetas) and len(dmu_over_s)):
         raise ValueError("eps_grid, thetas and dmu_over_s must each be nonempty")
     rows = []
     for theta in thetas:
-        if not 1.0 <= theta < math.inf:
-            raise ValueError(f"scale inflation must be finite and >= 1, got theta={theta}")
+        b0s = [MechanismConfig(s, eps, theta, mu0).b0 for eps in eps_grid]
         for ratio in dmu_over_s:
             if not abs(ratio) < math.inf:
                 raise ValueError(f"bias ratio must be finite, got dmu_over_s={ratio}")
-            mu1 = mu0 + ratio * s
-            if not abs(mu1) < math.inf:
-                raise ValueError(f"attack location mu0 + dmu_over_s*s overflows, got {mu1}")
-            for eps in eps_grid:
-                if not 0.0 < eps < math.inf:
-                    raise ValueError(f"privacy parameter must be finite and > 0, got {eps}")
-                b0 = s / eps
-                b1 = theta * b0
-                if not 0.0 < b1 < math.inf:  # so is b0, as 1 <= theta < inf
-                    raise ValueError(
-                        f"noise scale s/eps must be positive and finite, got s={s}, "
-                        f"eps={eps}, theta={theta}"
-                    )
-                p0 = LaplaceDist(mu0, b0)
-                p1 = LaplaceDist(mu1, b1)
-                d, bound = kl_laplace(p0, p1), _dp_bound(eps)
-                row = (eps, theta, ratio, d, bound, d > bound)
-                rows.append(dict(zip(_SWEEP_HEADER, row)))
+            dmu = ratio * s
+            if not abs(dmu) < math.inf:
+                raise ValueError(f"shift dmu_over_s*s overflows, got dmu_over_s={ratio}, s={s}")
+            for eps, b0 in zip(eps_grid, b0s):
+                d = kl_laplace(LaplaceDist(0.0, b0), LaplaceDist(dmu, theta * b0))
+                bound = _dp_bound(eps)
+                rows.append(dict(zip(_SWEEP_HEADER, (eps, theta, ratio, d, bound, d > bound))))
     return rows
 
 

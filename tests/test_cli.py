@@ -289,18 +289,29 @@ class TestExitCodes:
             ["--mu0", "1e15", "--dmu", "1", "--theta", "1.5"],
             ["--mu0", "1e8", "--s", "1e-3", "--dmu", "1e-3", "--theta", "1.5"],
             ["--mu0", "1e12", "--s", "1e-6", "--dmu", "1e-6", "--theta", "1.5"],
+            ["--mu0", "1e8", "--s", "1e-9", "--dmu", "1e-9", "--theta", "1.5"],
+            ["--mu0", "1e17", "--dmu", "1", "--theta", "1.5"],
+            ["--mu0=-1e15", "--s", "1e-3", "--dmu", "1e-3", "--theta", "2"],
+            ["--mu0", "1e17", "--dmu", "-1", "--kl-variant"],
         ],
-        ids=["s-5e306", "mu0-1e15", "mu0-1e8-s-1e-3", "mu0-1e12-s-1e-6"],
+        ids=[
+            "s-5e306", "mu0-1e15", "mu0-1e8-s-1e-3", "mu0-1e12-s-1e-6", "mu0-1e8-s-1e-9",
+            "mu0-1e17", "mu0-neg1e15-s-1e-3", "mu0-1e17-variant",
+        ],
     )
     def test_kl_at_extreme_location_or_scale_answers(self, capsys, argv):
         # The quadrature runs in u = (z - mu0)/b0, so neither mu -+ 40 b0
         # overflowing (b0 = 5e306) nor nodes that round to mu0 far from the
         # origin reach it: it meets the closed form to the printed digits.
+        # The pair is built from the shift, so mu0 moves no byte, even where
+        # mu0 + dmu rounds the shift away (1e17 + 1 == 1e17).
         code, out, err = run(capsys, "kl", *argv)
         assert (code, err) == (0, "")
-        lines = out.splitlines()
-        assert lines[0].startswith("d_closed = ") and lines[1].startswith("d_quadrature = ")
-        assert lines[0].split(" = ")[1] == lines[1].split(" = ")[1]
+        fields = dict(line.split(" = ") for line in out.splitlines())
+        assert fields["d_quadrature"] == fields.get("d_canonical", fields["d_closed"])
+        if argv[0].startswith("--mu0"):
+            at_origin = argv[1:] if "=" in argv[0] else argv[2:]
+            assert run(capsys, "kl", *at_origin) == (0, out, "")
 
 
 class TestArtifacts:
@@ -343,6 +354,14 @@ class TestArtifacts:
         assert lines[1].endswith(",false")
         assert lines[2].endswith(",true")
 
+    def test_kl_sweep_far_from_the_origin_writes_the_same_bytes(self, capsys, tmp_path):
+        # Each cell's pair is built from the shift, so mu0 = 1e17, where
+        # mu0 + dmu_over_s*s would round to mu0, moves no byte.
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert run(capsys, "kl-sweep", "--out", str(a))[0] == 0
+        assert run(capsys, "kl-sweep", "--mu0", "1e17", "--out", str(b))[0] == 0
+        assert a.read_bytes() == b.read_bytes()
+
     def test_kl_sweep_linspace_default(self, capsys, tmp_path):
         path = tmp_path / "kl.csv"
         code, _, _ = run(
@@ -359,13 +378,13 @@ class TestArtifacts:
             (["--eps-list="], "nonempty"),
             (["--theta-list="], "nonempty"),
             (["--dmu-over-s="], "nonempty"),
-            (["--eps-list", "nan"], "privacy parameter must be finite and > 0"),
-            (["--eps-list", "inf"], "privacy parameter must be finite and > 0"),
-            (["--theta-list", "nan"], "scale inflation must be finite and >= 1"),
-            (["--theta-list", "inf"], "scale inflation must be finite and >= 1"),
-            (["--s", "inf"], "sensitivity must be finite and > 0"),
-            (["--s", "nan"], "sensitivity must be finite and > 0"),
-            (["--mu0", "nan"], "null location must be finite, got mu0=nan"),
+            (["--eps-list", "nan"], "eps must be finite, got eps="),
+            (["--eps-list", "inf"], "eps must be finite, got eps="),
+            (["--theta-list", "nan"], "theta must be finite, got theta="),
+            (["--theta-list", "inf"], "theta must be finite, got theta="),
+            (["--s", "inf"], "s must be finite, got s="),
+            (["--s", "nan"], "s must be finite, got s="),
+            (["--mu0", "nan"], "mu0 must be finite, got mu0=nan"),
             (["--dmu-over-s", "nan"], "bias ratio must be finite, got dmu_over_s=nan"),
             (
                 ["--eps-start", "1e-320", "--eps-stop", "1e-320"],
@@ -377,7 +396,7 @@ class TestArtifacts:
             ),
             (
                 ["--mu0", "1e308", "--dmu-over-s", "1e10", "--s", "1e300"],
-                "attack location mu0 + dmu_over_s*s overflows, got inf",
+                "shift dmu_over_s*s overflows, got dmu_over_s=10000000000.0, s=1e+300",
             ),
             (["--eps-count", "-1"], "Number of samples, -1, must be non-negative."),
         ],

@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from lapdetect import (
@@ -25,6 +25,7 @@ from lapdetect import (
     detector,
     hypothesis_pair,
     kappa,
+    kl_laplace,
     likelihood_ratio,
     roc_curve,
     write_roc_csv,
@@ -744,6 +745,65 @@ class TestMostPowerfulRegion:
         for direction, expected in ((RIGHT, right), (TWO, two)):
             got = DetectionTest.from_alpha(alpha, cfg, direction).power(attack)
             assert got == pytest.approx(expected, abs=5e-5)
+
+
+class TestPrivacyCeiling:
+    """DP's ceiling on detection: at theta = 1, H0 and H1 are eps'-indistinguishable.
+
+    Hypothesis-testing DP then bounds the power of every size-alpha test by
+    min(e^eps' alpha, 1 - e^-eps' (1 - alpha)) (Wasserman & Zhou 2010;
+    Kairouz, Oh & Viswanath 2015), and the divergence by eps' tanh(eps'/2),
+    the tight KL bound of an eps'-indistinguishable pair.
+    """
+
+    # Largest relative excess of a power over the ceiling over 210,000 random
+    # cases in these ranges: 3.3e-15, where the one-sided test meets it.
+    RTOL = 4e-15
+    # kl_laplace sums terms of size 1 + eps', so its rounding is absolute in
+    # that unit. Largest excess over eps' tanh(eps'/2) in that unit over the
+    # same cases, 150,000 of them with |x_a| log-uniform in 3s [1e-12, 1e-2],
+    # where the bound is tightest: 3.1e-16.
+    KL_ATOL = 4e-16
+
+    # s, eps, x_a = ratio * s and mu0 over these ranges; alpha in [1e-6, 0.999].
+    SHIFT = dict(
+        s=st.floats(0.1, 5.0),
+        eps=st.floats(0.01, 8.0),
+        ratio=st.floats(-3.0, 3.0),
+        mu0=st.floats(-5.0, 5.0),
+    )
+
+    @staticmethod
+    def _case(s, eps, ratio, mu0):
+        """(cfg, attack, eps') at theta = 1, with eps' = |x_a|/b0."""
+        cfg, attack = MechanismConfig(s=s, eps=eps, mu0=mu0), AttackSpec(ratio * s)
+        return cfg, attack, abs(attack.x_a) / cfg.b0
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(1e-6, 0.999), **SHIFT)
+    def test_no_test_beats_the_ceiling(self, alpha, s, eps, ratio, mu0):
+        cfg, attack, e = self._case(s, eps, ratio, mu0)
+        # 1 - e^-eps' (1 - alpha), with no cancellation against 1.
+        ceiling = min(math.exp(e) * alpha, -math.expm1(-e) + math.exp(-e) * alpha)
+        for direction in TailDirection:
+            power = DetectionTest.from_alpha(alpha, cfg, direction).power(attack)
+            assert power <= ceiling * (1.0 + self.RTOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(alpha=st.floats(1e-6, 0.999), **SHIFT)
+    def test_one_sided_test_toward_the_bias_meets_the_ceiling(self, alpha, s, eps, ratio, mu0):
+        cfg, attack, e = self._case(s, eps, ratio, mu0)
+        assume(alpha < 0.5 * math.exp(-e))  # the threshold lies beyond the bias
+        toward = LEFT if attack.x_a < 0.0 else RIGHT
+        power = DetectionTest.from_alpha(alpha, cfg, toward).power(attack)
+        assert power == pytest.approx(math.exp(e) * alpha, rel=self.RTOL)
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SHIFT)
+    def test_divergence_within_the_tight_bound(self, s, eps, ratio, mu0):
+        cfg, attack, e = self._case(s, eps, ratio, mu0)
+        d = kl_laplace(*hypothesis_pair(cfg, attack))
+        assert d <= e * math.tanh(e / 2.0) + self.KL_ATOL * (1.0 + e)
 
 
 class TestRocCsv:

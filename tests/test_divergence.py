@@ -172,6 +172,7 @@ class TestKlQuadrature:
             (LaplaceDist(0.0, 1e300), LaplaceDist(0.0, 1e-300), "b0/b1 = inf"),
             (LaplaceDist(0.0, 1e-310), LaplaceDist(1.0, 1e-310), "|mu1 - mu0|/b1 = inf"),
             (LaplaceDist(0.0, 1.0), LaplaceDist(1.0, 2.0**-1024), "b0/b1 = inf"),
+            (LaplaceDist(0.0, 1e-310), LaplaceDist(1.0, 1e-2), "|mu1 - mu0|/b0 = inf"),
         ],
     )
     def test_overflowing_bound_is_rejected_before_integrating(self, monkeypatch, p0, p1, what):
@@ -418,8 +419,8 @@ class TestKlSweep:
     @pytest.mark.parametrize(
         "axis, message",
         [
-            ("eps_grid", "privacy parameter"),
-            ("thetas", "scale inflation"),
+            ("eps_grid", "eps must be finite, got eps="),
+            ("thetas", "theta must be finite, got theta="),
             ("dmu_over_s", "bias ratio must be finite, got dmu_over_s="),
         ],
     )
@@ -430,7 +431,7 @@ class TestKlSweep:
 
     @pytest.mark.parametrize("mu0", [math.nan, math.inf, -math.inf])
     def test_non_finite_null_location_names_mu0(self, mu0):
-        with pytest.raises(ValueError, match="null location must be finite, got mu0="):
+        with pytest.raises(ValueError, match="mu0 must be finite, got mu0="):
             kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1.0], mu0=mu0)
 
     @pytest.mark.parametrize(
@@ -448,9 +449,15 @@ class TestKlSweep:
             kl_sweep(**grid)
 
     def test_overflowing_attack_location_names_the_shift(self):
-        # 1e308 + 1e10 * 1e300 rounds to inf although every input is finite.
-        with pytest.raises(ValueError, match=r"mu0 \+ dmu_over_s\*s overflows, got inf"):
+        # 1e10 * 1e300 rounds to inf although every input is finite.
+        with pytest.raises(ValueError, match=r"shift dmu_over_s\*s overflows, got dmu_over_s="):
             kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1e10], s=1e300, mu0=1e308)
+
+    def test_attack_location_past_the_float_range_answers(self):
+        # mu0 + dmu = 2.7e308 overflows, but the pair Lap(0, b) against
+        # Lap(b, b) is built from the shift: D = e^-1.
+        rows = kl_sweep(eps_grid=[1.0], thetas=[1.0], dmu_over_s=[1.0], s=1e308, mu0=1.7e308)
+        assert rows[0]["kl"] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
     def test_csv_emission(self):
         buf = io.StringIO()

@@ -360,5 +360,5 @@ def test_kl_at_a_scale_too_small_to_integrate_exits_three(capsys):
     assert (code, out) == (3, "")
     assert err == (
         "error: cannot integrate: the integrand's bound |ln(b1/b0)| + (|mu1 - mu0| + b0)/b1 + 1 "
-        "overflows (b0/b1 = 1.0, |mu1 - mu0|/b1 = inf)\n"
+        "overflows (b0/b1 = 1.0, |mu1 - mu0|/b0 = inf, |mu1 - mu0|/b1 = inf)\n"
     )
