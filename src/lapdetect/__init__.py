@@ -19,7 +19,7 @@ from .mechanism import *  # noqa: F403
 from .montecarlo import *  # noqa: F403
 from .quadrature import *  # noqa: F403
 
-__version__ = "0.11.0"
+__version__ = "0.12.0"
 
 __all__ = [
     name

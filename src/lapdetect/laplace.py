@@ -20,23 +20,23 @@ if TYPE_CHECKING:
 
 __all__ = ["LaplaceDist", "RngStream"]
 
-# Open-interval uniform lattice: k / 2^53 for k in [1, 2^53 - 1]. Endpoints
+# Open-interval uniform lattice: k / 2^53 for the odd k in [1, 2^53 - 1]. Endpoints
 # are excluded so the inverse transform never produces an infinite quantile.
 _U_DENOM = 1 << 53
 _U_SCALE = 2.0**-53
 _U_HALF = float(1 << 52)  # the lattice point of q = 0, where draws equal mu
-# -log1p(-2|k/2^53 - 1/2|) at k = 1 and 2^53 - 1: no draw lies farther than
-# this many scales from mu.
+# -log1p(-2|k/2^53 - 1/2|) at k = 1 and 2^53 - 1, the words below 2^11 and at
+# or above 2^64 - 2^11: no draw lies farther than this many scales from mu.
 _REACH = 52.0 * math.log(2.0)
 
 
 class RngStream(_Record):
-    """Deterministic random stream keyed by (seed, stream_id).
+    """Deterministic random stream keyed by (seed, stream_id), both in [0, 2^64).
 
-    A stream is a stateless handle: every draw from it starts at the
-    beginning of the same sequence, so identical keys always yield
-    identical draws. Distinct stream_ids give statistically independent
-    sequences; use them as replicate indices. Both keys lie in [0, 2^64).
+    A stream is a stateless handle: every draw starts at the beginning of
+    the same sequence, so identical keys yield identical draws. Each key is
+    two fixed 32-bit words, so distinct keys give statistically independent
+    sequences; use stream_ids as replicate indices.
     """
 
     __slots__ = ("seed", "stream_id")
@@ -52,16 +52,24 @@ class RngStream(_Record):
         return self._lattice(n) * _U_SCALE
 
     def _lattice(self, n: int) -> np.ndarray:
-        """``n`` i.i.d. int64 lattice points k, uniform on [1, 2^53 - 1]."""
+        """``n`` i.i.d. int64 lattice points (w >> 11) | 1 of ``_words(n)``: the odd k < 2^53."""
+        k = self._words(n)
+        k >>= 11
+        k |= 1
+        return k.view("int64")
+
+    def _words(self, n: int) -> np.ndarray:
+        """The first ``n`` raw uint64 words of this key's PCG64, which numpy keeps stable."""
         if n < 0:
             raise ValueError(f"sample count must be nonnegative, got {n}")
         import numpy as np
-        return np.random.default_rng(self._seed_sequence()).integers(1, _U_DENOM, size=n)
+        return np.random.PCG64(self._seed_sequence()).random_raw(n)
 
     def _seed_sequence(self) -> np.random.SeedSequence:
-        """The numpy SeedSequence of this key: every draw and derived seed starts here."""
+        """The SeedSequence of the uint32 words seed low, seed high, stream_id low and
+        stream_id high: every draw and derived seed starts here."""
         import numpy as np
-        return np.random.SeedSequence((self.seed, self.stream_id))
+        return np.random.SeedSequence(np.array([self.seed, self.stream_id], "<u8").view("<u4"))
 
 
 class LaplaceDist(_Record):
@@ -163,21 +171,25 @@ class LaplaceDist(_Record):
 
         q = x_a = 0 counts x; an infinite end counts nothing. For a finite end t, lattice
         points outside ``_cuts(t - x_a, |q| + |x_a|)``, or none if t - x_a overflowed, are
-        counted by comparison; the rest go through the release pipeline, whose three
+        counted on the raw words w (k > K exactly when w >= ((K + 1) & ~1) << 11, a uint64
+        cut, or never at 2^64); the rest go through the release pipeline, whose three
         monotone float operations round by at most 2^-53 of |q| + |t - x_a| + |x_a|.
         """
         import numpy as np
-        k = rng._lattice(m)
+        w = rng._words(m)
         hits = 0
         for t, below in ((lo, True), (hi, False)):
             if not math.isfinite(t):
                 continue
             c = t - x_a
             k_lo, k_hi = self._cuts(c, abs(q) + abs(x_a)) if math.isfinite(c) else (0, _U_DENOM)
-            above, from_lo = int(np.count_nonzero(k > k_hi)), int(np.count_nonzero(k >= k_lo))
+            w_lo, w_hi = (min(max(k + 1, 0) & ~1, _U_DENOM) << 11 for k in (k_lo - 1, k_hi))
+            from_lo, above = (int(np.count_nonzero(w >= np.uint64(x))) if x < 1 << 64 else 0
+                              for x in (w_lo, w_hi))
             hits += m - from_lo if below else above
-            if from_lo > above:
-                r = (q + self._transform(k[(k >= k_lo) & (k <= k_hi)])) + x_a - q
+            if from_lo > above:  # so w_lo < w_hi <= 2^64
+                band = w[(w >= np.uint64(w_lo)) & (w <= np.uint64(w_hi - 1))]
+                r = (q + self._transform(band >> 11 | 1)) + x_a - q
                 hits += int(np.count_nonzero(r < t if below else r > t))
         return hits
 

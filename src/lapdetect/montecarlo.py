@@ -5,9 +5,9 @@ stream keyed by (seed, role, chunk index), where the role is H0 (0) or H1
 (1). Each role's chunks are counted in chunk order on the calling thread;
 ``workers`` starts no threads and leaves every report bit-identical.
 ``LaplaceDist._count`` makes every reported count: it counts detections on
-the draws' integer lattice, transforming only the draws next to a
-threshold, and passes those through the float release arithmetic the
-attack pipeline simulates. It is the one many-draw detection path.
+the stream's raw words, transforming only the draws next to a threshold,
+and passes those through the float release arithmetic the attack pipeline
+simulates. It is the one many-draw detection path.
 """
 
 from __future__ import annotations

@@ -81,9 +81,9 @@ def test_kl_sweep_csv(capsys, tmp_path):
 
 # One digest per tail: the report must not depend on the worker count.
 SIMULATE_JSON = {
-    "right": "689ae95e983a305bfa73b57207a1606b9f5820ac5b02cace2563c0e2029a91b8",
-    "left": "f4408f0c74a385a883beb4709631ffb3e092cd074645c9ec2a96965d356b9e6f",
-    "two-sided": "d4660eaa39eda01a6435868db63a1e37f5f62149b495bdfbdc869e52bf544b64",
+    "right": "75dc83716e190e5c6933762768ce84c6ee2c7b3433533898af8343630f56fe29",
+    "left": "7887857426eaf79074d8c752c79eb222dd20389c1c2d0e5912a9611030146e05",
+    "two-sided": "356b330f697e402e2bfcb9edba8ecb3c5137803e0cae42e758da7f98a31d55c9",
 }
 
 
@@ -102,10 +102,10 @@ def test_simulate_json(capsys, tail, workers):
 # is close to b0 = 1e-7, so rounding q + z moves alpha_hat to about 0.084
 # and the report fails its band.
 SIMULATE_DATA_JSON = {
-    "right": "856c10151c8a1000b6c65215f49c676f50353ed285a72aad057591655ebc52ef",
-    "left": "cd2b550215895b2384f0dbb48eafe8fc229f61528ed0b1e812eed6221f16fa99",
-    "two-sided": "af06749e5255655886198e17805d2874f5310a5b06eb1a935f5060d9598d02ed",
-    "quantized": "194868a11df87588864dfdfe0388fc10379c502b3f6efe7e806cebd24f8435b0",
+    "right": "f6f1c7938a697b4caa28bd38b10c8d6f33fbc85bb3d782cb2695c6a4aaaa85d8",
+    "left": "8f24b8d1fb6bfe03816228bc1a6eaae821e19d1fbebfffe2c180c316045ec6b8",
+    "two-sided": "af0b93058f12a8fa6734d61d4788ff19c8bb694a3602ba01622c61ebc491b6b6",
+    "quantized": "9dd000e9d256fb0313b4db23eadbed9c3035b6641d658ab2ce1812506e66e427",
 }
 
 
@@ -135,5 +135,5 @@ def test_sweep_grid_csv_appended_twice(capsys, tmp_path):
         )
         assert out == f"appended 216 grid rows to {path}\n"
     assert _sha(path.read_text()) == (
-        "8aa586c8bcdf30d1d1da67bf63dec6e398166f1ee25153e0602fdce9de4ce94d"
+        "dab775b7fdbb0d8cd42f4a86a0b7b68959ff259f1375818ee444df5ca08385e0"
     )

@@ -89,9 +89,9 @@ def test_power_stdout(capsys, tail, dmu, mu0):
 
 
 SIMULATE_JSON = {
-    "right": "689ae95e983a305bfa73b57207a1606b9f5820ac5b02cace2563c0e2029a91b8",
-    "left": "f4408f0c74a385a883beb4709631ffb3e092cd074645c9ec2a96965d356b9e6f",
-    "two-sided": "d4660eaa39eda01a6435868db63a1e37f5f62149b495bdfbdc869e52bf544b64",
+    "right": "75dc83716e190e5c6933762768ce84c6ee2c7b3433533898af8343630f56fe29",
+    "left": "7887857426eaf79074d8c752c79eb222dd20389c1c2d0e5912a9611030146e05",
+    "two-sided": "356b330f697e402e2bfcb9edba8ecb3c5137803e0cae42e758da7f98a31d55c9",
 }
 
 

@@ -238,6 +238,54 @@ class TestLatticeCount:
             self._assert_exact(d, stream, 4096, float(t))
 
 
+class TestRawWordLattice:
+    """A stream is the raw PCG64 words of four uint32 key words, its lattice
+    their top 53 bits with the lowest set, and ``_count`` cuts the words."""
+
+    # k = (w >> 11) | 1 at its edges: 1, 1, 1, 3, 2^53 - 1, 2^53 - 1.
+    WORDS = [0, 2**11 - 1, 2**11, 2**12, 2**64 - 2**11, 2**64 - 1]
+    CUTS = [-1, 0, 1, 2, 2**53 - 2, 2**53 - 1, 2**53 + 2**14]
+    CUT_IDS = ["-1", "0", "1", "2", "2^53-2", "2^53-1", "2^53+2^14"]
+
+    def test_lattice_is_the_raw_words_shifted(self):
+        # seed 2^40 + 3 and stream_id 2^33 + 5, low word before high word.
+        key = np.array([3, 2**8, 5, 2], dtype=np.uint32)
+        words = np.random.PCG64(np.random.SeedSequence(key)).random_raw(4096)
+        k = RngStream(2**40 + 3, 2**33 + 5)._lattice(4096)
+        assert k.dtype == np.int64
+        np.testing.assert_array_equal(k, ((words >> 11) | 1).astype(np.int64))
+        assert np.all(k % 2 == 1) and k.min() >= 1 and k.max() <= 2**53 - 1
+
+    @pytest.mark.parametrize("k_lo", CUTS, ids=CUT_IDS)
+    @pytest.mark.parametrize("k_hi", CUTS, ids=CUT_IDS)
+    def test_word_cuts_count_the_lattice_exactly(self, monkeypatch, k_lo, k_hi):
+        # With the cuts fixed to (k_lo, k_hi), every band point lies on the
+        # counted side of a threshold at +-1e308, so each end counts the points
+        # beyond its cut plus the band [k_lo, k_hi].
+        words = np.array(self.WORDS, dtype=np.uint64)
+        monkeypatch.setattr(RngStream, "_words", lambda self, n: words.copy())
+        monkeypatch.setattr(LaplaceDist, "_cuts", lambda self, t, pad=0.0: (k_lo, k_hi))
+        d, stream, m = LaplaceDist(0.0, 1.0), RngStream(1), len(self.WORDS)
+        k = [(w >> 11) | 1 for w in self.WORDS]
+        band = sum(k_lo <= x <= k_hi for x in k)
+        assert d._count(stream, m, 1e308, math.inf) == sum(x < k_lo for x in k) + band
+        assert d._count(stream, m, -math.inf, -1e308) == sum(x > k_hi for x in k) + band
+
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((1, 2), (2, 1)),  # control: keys that never collided
+            ((2**32 + 1, 1), (1, 2**32 + 1)),
+            ((5 + 3 * 2**32, 65536), (5, 1 << 48 | 3)),  # montecarlo's role 1, chunk 3
+        ],
+        ids=["control", "words-moved-across-keys", "montecarlo-chunk"],
+    )
+    def test_distinct_keys_draw_distinct_lattices(self, a, b):
+        # SeedSequence once joined each key's significant 32-bit words, so
+        # the last two pairs drew the same lattice.
+        assert not np.array_equal(RngStream(*a)._lattice(8), RngStream(*b)._lattice(8))
+
+
 class TestMeanAbsDev:
     def test_at_location_equals_scale_exactly(self):
         assert LaplaceDist(0.0, 1.0).mean_abs_dev(0.0) == 1.0
